@@ -104,7 +104,7 @@ def cmd_zeta(args) -> int:
 def cmd_census(args) -> int:
     X = load_graph(args.graph)
     N = args.upto if args.upto is not None else _default_upto(X)
-    counts = [spectral.cycle_count(X, n) for n in range(1, N + 1)]
+    counts = spectral.closed_walk_counts(X, N)
     lines = [f"{n}\t{c}" for n, c in enumerate(counts, start=1)]
     _emit(args, {"counts": counts, "upto": N}, lines)
     return 0

@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import spectral
 from .errors import InternalInconsistency, InvalidInput
 from .graphs import (Arc, Budget, Graph, cross_graph, cycle_graph,
                      figure_eight, is_isomorphic, path_graph,
                      undirected_cycle)
-from .spectral import IntPolynomial, adjacency_matrix, cycle_count, reversed_char_poly
+from .spectral import IntPolynomial, adjacency_matrix, reversed_char_poly
 from .witt import from_graph
 
 
@@ -36,8 +37,9 @@ def homotopy_equivalent(X: Graph, Y: Graph) -> bool:
     """Same reversed characteristic polynomial, cross-checked on walk counts."""
     by_poly = signature(X) == signature(Y)
     bound = max(len(X.nodes), len(Y.nodes), 1)
-    by_counts = all(cycle_count(X, n) == cycle_count(Y, n)
-                    for n in range(1, bound + 1))
+    # looked up on the module, so a test can perturb this route alone
+    by_counts = (spectral.closed_walk_counts(X, bound)
+                 == spectral.closed_walk_counts(Y, bound))
     if by_poly != by_counts:
         raise InternalInconsistency(
             "polynomial and walk-count comparisons disagree")

@@ -1,15 +1,17 @@
 """Exact integer linear algebra over the adjacency operator.
 
-Characteristic polynomial (division-free Berkowitz), its reversal, closed
-walk counts tr(A^n), and the zeta series in closed and expanded form.  No
-floating point anywhere: coefficients are Python ints, intermediate series
-arithmetic uses exact rationals.
+Two primitives carry every invariant.  `char_poly` runs the division-free
+Berkowitz algorithm over sparse rows; det(I - uA), the zeta series (its
+inverse) and, through Newton's identities, the ghost components derive from
+it.  `closed_walk_counts` gives tr(A^n) for n = 1..N in one sweep over the
+arcs, independently of the polynomial, so each route can check the other.
+No floating point anywhere: all coefficients are Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .errors import IntegralityViolation, InvalidInput
 from .graphs import Graph
@@ -78,36 +80,48 @@ def adjacency_matrix(X: Graph) -> list[list[int]]:
 
 
 def char_poly(A: list[list[int]]) -> IntPolynomial:
-    """det(xI - A) by the Berkowitz algorithm (division-free, exact)."""
+    """det(xI - A) by the Berkowitz algorithm (division-free, exact).
+
+    Step k borders the principal (k-1) block M with row R, column S and
+    corner a_kk, and multiplies the previous polynomial by the Toeplitz
+    column built from t = (a_kk, R S, R M S, ..., R M^(k-2) S).  M is held
+    as sparse rows that gain one column per step, so each product M v costs
+    the nonzeros of the block rather than (k-1)^2.
+    """
     n = len(A)
+    cols: list[list[int]] = []   # cols[i], vals[i]: nonzeros of row i of M
+    vals: list[list[int]] = []
     # coefficients descending: [1] means the constant polynomial 1
     coeffs = [1]
     for k in range(1, n + 1):
-        # principal k x k block; Toeplitz column from the new row/column
-        a_kk = A[k - 1][k - 1]
-        row = A[k - 1][:k - 1]     # R: row k-1 against previous
-        col = [A[i][k - 1] for i in range(k - 1)]  # S: column into k-1
-        # entries t_m = R * M^(m) * S with M the (k-1) principal block
-        t = [a_kk]
-        if k > 1:
-            m = len(col)
-            vec = col[:]
-            t.append(sum(row[i] * vec[i] for i in range(m)))
-            M = [r[:k - 1] for r in A[:k - 1]]
-            for _ in range(k - 2):
-                vec = [sum(M[i][j] * vec[j] for j in range(m)) for i in range(m)]
-                t.append(sum(row[i] * vec[i] for i in range(m)))
-        # multiply previous char poly by the Toeplitz column
-        # new_poly has degree k: new[i] = prev[i] - sum_{m>=0} t[m]*prev[i-m-1]
-        prev = coeffs
-        new = [0] * (k + 1)
-        for i, c in enumerate(prev):
-            new[i] += c
-        for m, tm in enumerate(t):
-            for i, c in enumerate(prev):
-                if i + m + 1 <= k:
-                    new[i + m + 1] -= tm * c
+        m = k - 1
+        row = A[m]
+        r_cols = [j for j in range(m) if row[j]]
+        r_vals = [row[j] for j in r_cols]
+        vec = [A[i][m] for i in range(m)]
+        t = [row[m]]
+        if m:
+            t.append(sum(map(mul, r_vals, map(vec.__getitem__, r_cols))))
+            for _ in range(m - 1):
+                vec = [sum(map(mul, vs, map(vec.__getitem__, js)))
+                       for js, vs in zip(cols, vals)]
+                t.append(sum(map(mul, r_vals, map(vec.__getitem__, r_cols))))
+        # new[j] = prev[j] - sum_i t[i] * prev[j-1-i], degree k
+        rev = coeffs[::-1]
+        new = coeffs + [0]
+        for j in range(1, k + 1):
+            new[j] -= sum(map(mul, t, rev[k - j:]))
         coeffs = new
+        # grow M to the principal k x k block: column m, then row m
+        for i in range(m):
+            if A[i][m]:
+                cols[i].append(m)
+                vals[i].append(A[i][m])
+        if row[m]:
+            r_cols.append(m)
+            r_vals.append(row[m])
+        cols.append(r_cols)
+        vals.append(r_vals)
     return IntPolynomial.from_list(list(reversed(coeffs)))
 
 
@@ -119,20 +133,34 @@ def reversed_char_poly(A: list[list[int]]) -> IntPolynomial:
     return IntPolynomial.from_list([a[n - k] for k in range(n + 1)])
 
 
+def closed_walk_counts(X: Graph, upto: int) -> list[int]:
+    """[c_1, ..., c_upto] with c_n = tr(A^n), the closed walks of length n.
+
+    For each start node, walk counts are pushed along every arc once per
+    length: O(k * upto * (k + arcs)) integer additions, and no use of the
+    characteristic polynomial.  Empty when upto < 1.
+    """
+    idx = X.node_index
+    size = len(X.nodes)
+    # preds[j] lists the source of every arc into j, parallel arcs repeated
+    preds: list[list[int]] = [[] for _ in range(size)]
+    for a in X.arcs:
+        preds[idx[a.tgt]].append(idx[a.src])
+    counts = [0] * max(upto, 0)
+    for s in range(size):
+        vec = [0] * size
+        vec[s] = 1
+        for n in range(upto):
+            vec = [sum(map(vec.__getitem__, p)) for p in preds]
+            counts[n] += vec[s]
+    return counts
+
+
 def cycle_count(X: Graph, n: int) -> int:
     """Number of closed walks of length n, i.e. tr(A^n), exactly."""
     if n < 1:
         raise InvalidInput("cycle count needs n >= 1")
-    A = adjacency_matrix(X)
-    size = len(A)
-    total = 0
-    for i in range(size):
-        # row i of A^n via repeated vector-matrix products
-        vec = A[i][:]
-        for _ in range(n - 1):
-            vec = [sum(vec[k] * A[k][j] for k in range(size)) for j in range(size)]
-        total += vec[i]
-    return total
+    return closed_walk_counts(X, n)[-1]
 
 
 @dataclass(frozen=True)
@@ -151,60 +179,60 @@ class ZetaSeries:
 def expand_log_exp(ghost, N: int) -> list[int]:
     """Coefficients of exp(sum_{n>=1} ghost(n) u^n / n) up to order N.
 
-    Uses the derivative recurrence k*z_k = sum_{i<=k} c_i z_{k-i} over exact
-    rationals; the results are asserted integral (a theorem, and a self-test).
+    Uses the derivative recurrence k*z_k = sum_{i<=k} c_i z_{k-i} with exact
+    integer division; a remainder raises IntegralityViolation (integrality
+    is a theorem for graphs, so this doubles as a self-test).
     """
-    z: list[Fraction] = [Fraction(1)]
+    c: list[int] = []
+    z = [1]
     for k in range(1, N + 1):
-        acc = sum(Fraction(ghost(i)) * z[k - i] for i in range(1, k + 1))
-        z.append(acc / k)
-    out = []
-    for k, v in enumerate(z):
-        if v.denominator != 1:
-            raise IntegralityViolation(f"zeta coefficient z_{k} = {v} not integral")
-        out.append(int(v))
-    return out
+        c.append(ghost(k))
+        acc = sum(map(mul, c, reversed(z)))
+        q, r = divmod(acc, k)
+        if r:
+            raise IntegralityViolation(
+                f"zeta coefficient z_{k} = {acc}/{k} not integral")
+        z.append(q)
+    return z
 
 
 def zeta_series(X: Graph, N: int) -> ZetaSeries:
-    """Zeta series of X to order N: exp form checked against det(I - uA)."""
+    """Zeta series of X to order N: the inverse of det(I - uA), checked
+    against the exp form of the closed-walk counts."""
     if N < 0:
         raise InvalidInput("truncation order must be >= 0")
-    A = adjacency_matrix(X)
-    denom = reversed_char_poly(A)
-    counts: dict[int, int] = {}
-
-    def ghost(n: int) -> int:
-        if n not in counts:
-            counts[n] = cycle_count(X, n)
-        return counts[n]
-
-    coeffs = expand_log_exp(ghost, N)
-    # internal check: denominator * series == 1 + O(u^{N+1})
-    for k in range(N + 1):
-        acc = sum(denom[i] * coeffs[k - i] for i in range(0, min(k, denom.degree) + 1))
-        expected = 1 if k == 0 else 0
-        if acc != expected:
-            raise IntegralityViolation(
-                f"series does not invert the denominator at order {k}")
+    denom = reversed_char_poly(adjacency_matrix(X))
+    # z_k = -sum_{i>=1} d_i z_{k-i}, since d_0 = det(I) = 1
+    tail = denom.coefficients[1:]
+    coeffs = [1]
+    for _ in range(N):
+        coeffs.append(-sum(map(mul, tail, reversed(coeffs))))
+    counts = closed_walk_counts(X, N)
+    exp_form = expand_log_exp(lambda n: counts[n - 1], N)
+    if exp_form != coeffs:
+        k = next(k for k, (a, b) in enumerate(zip(exp_form, coeffs)) if a != b)
+        raise IntegralityViolation(
+            f"exp form of the walk counts differs from 1/det(I - uA) at order {k}")
     return ZetaSeries(denom, N, tuple(coeffs))
 
 
-def newton_power_sums(a: IntPolynomial, upto: int) -> list[int]:
+def newton_power_sums(a: IntPolynomial, upto: int,
+                      p: list[int] | None = None) -> list[int]:
     """Power sums p_1..p_upto of the roots of a monic polynomial.
 
     Newton's identities: p_k = -k*b_{n-k} - sum_{i=1}^{k-1} b_{n-i} p_{k-i},
-    with b the coefficients of a (b_n = 1 leading).  Exact over ints.
+    with b the coefficients of a (b_n = 1 leading) and b_j = 0 for j < 0.
+    Exact over ints.  Passing the list an earlier call returned as `p`
+    extends it in place.
     """
     n = a.degree
     if n < 0 or a[n] != 1:
         raise InvalidInput("expected a monic polynomial")
-    p: list[int] = []
-    for k in range(1, upto + 1):
-        bk = a[n - k] if k <= n else 0
-        acc = -k * bk
-        for i in range(1, k):
-            bi = a[n - i] if i <= n else 0
-            acc -= bi * p[k - i - 1]
+    p = [] if p is None else p
+    b = a.coefficients[-2::-1]   # b_{n-1}, b_{n-2}, ..., b_0
+    for k in range(len(p) + 1, upto + 1):
+        acc = -sum(map(mul, b, reversed(p)))
+        if k <= n:
+            acc -= k * b[k - 1]
         p.append(acc)
     return p

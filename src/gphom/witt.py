@@ -9,12 +9,11 @@ infinite support are usable at any finite depth.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 from .errors import InvalidInput, NotRealizable
 from .graphs import Graph
-from .spectral import cycle_count, expand_log_exp
+from .spectral import adjacency_matrix, char_poly, expand_log_exp, newton_power_sums
 
 
 @lru_cache(maxsize=None)
@@ -66,33 +65,26 @@ def witt_to_ghost(s, n: int) -> int:
 class AlmostFiniteZSet:
     """Symbolic Z-set given by its ghost components c_n (n >= 1).
 
-    Ghost and Witt components are memoized per instance behind a lock, so
-    concurrent reads of one instance are safe.
+    Ghost and Witt components are memoized per instance.
     """
 
     def __init__(self, ghost_fn, label: str = ""):
         self._ghost_fn = ghost_fn
         self._ghost: dict[int, int] = {}
         self._witt: dict[int, int] = {}
-        self._lock = threading.Lock()
         self.label = label
 
     def ghost(self, n: int) -> int:
         if n < 1:
             raise InvalidInput("ghost index must be >= 1")
-        with self._lock:
-            if n not in self._ghost:
-                self._ghost[n] = int(self._ghost_fn(n))
-            return self._ghost[n]
+        if n not in self._ghost:
+            self._ghost[n] = int(self._ghost_fn(n))
+        return self._ghost[n]
 
     def witt(self, n: int) -> int:
-        with self._lock:
-            if n in self._witt:
-                return self._witt[n]
-        value = ghost_to_witt(self.ghost, n)
-        with self._lock:
-            self._witt[n] = value
-        return value
+        if n not in self._witt:
+            self._witt[n] = ghost_to_witt(self.ghost, n)
+        return self._witt[n]
 
     def ghost_row(self, upto: int) -> list[int]:
         return [self.ghost(n) for n in range(1, upto + 1)]
@@ -105,8 +97,23 @@ class AlmostFiniteZSet:
 
 
 def from_graph(X: Graph) -> AlmostFiniteZSet:
-    """The periodic bi-infinite paths of X: ghost components are tr(A^n)."""
-    return AlmostFiniteZSet(lambda n: cycle_count(X, n), label="from-graph")
+    """The periodic bi-infinite paths of X: ghost components are tr(A^n).
+
+    They are the Newton power sums of det(xI - A), from one Berkowitz run on
+    first use, extended as deeper components are asked for.
+    """
+    a = None
+    sums: list[int] = []
+
+    def ghost(n: int) -> int:
+        nonlocal a
+        if a is None:
+            a = char_poly(adjacency_matrix(X))
+        if n > len(sums):
+            newton_power_sums(a, n, sums)
+        return sums[n - 1]
+
+    return AlmostFiniteZSet(ghost, label="from-graph")
 
 
 def from_witt(s: dict[int, int]) -> AlmostFiniteZSet:

@@ -4,21 +4,8 @@ import random
 import pytest
 
 from gphom.graphs import Arc, Graph
-
-
-def exhaustive_graphs(max_nodes: int, max_arcs: int):
-    """Every multigraph with <= max_nodes nodes and <= max_arcs arcs."""
-    out = []
-    for k in range(max_nodes + 1):
-        nodes = tuple(str(i) for i in range(k))
-        pairs = [(u, v) for u in nodes for v in nodes]
-        for m in range(max_arcs + 1):
-            if m > 0 and not pairs:
-                continue
-            for combo in itertools.combinations_with_replacement(pairs, m):
-                arcs = tuple(Arc(f"a{i}", u, v) for i, (u, v) in enumerate(combo))
-                out.append(Graph(nodes, arcs))
-    return out
+from gphom.homotopy import enumerate_small_graphs
+from gphom.spectral import IntPolynomial, adjacency_matrix
 
 
 def random_graph(rnd: random.Random, max_nodes: int, max_arcs: int) -> Graph:
@@ -49,6 +36,47 @@ def brute_force_necklace_count(X: Graph, n: int) -> int:
     return len(aperiodic)
 
 
+def dense_cycle_count(X: Graph, n: int) -> int:
+    """Matrix-power oracle: tr(A^n) by n - 1 dense vector-matrix products
+    per row."""
+    A = adjacency_matrix(X)
+    size = len(A)
+    total = 0
+    for i in range(size):
+        vec = A[i][:]
+        for _ in range(n - 1):
+            vec = [sum(vec[k] * A[k][j] for k in range(size)) for j in range(size)]
+        total += vec[i]
+    return total
+
+
+def dense_char_poly(A: list[list[int]]) -> IntPolynomial:
+    """Dense Berkowitz oracle: copies each principal block and multiplies
+    every entry, O(k^4)."""
+    n = len(A)
+    coeffs = [1]   # descending
+    for k in range(1, n + 1):
+        row = A[k - 1][:k - 1]
+        vec = [A[i][k - 1] for i in range(k - 1)]
+        t = [A[k - 1][k - 1]]
+        if k > 1:
+            m = len(vec)
+            t.append(sum(row[i] * vec[i] for i in range(m)))
+            M = [r[:k - 1] for r in A[:k - 1]]
+            for _ in range(k - 2):
+                vec = [sum(M[i][j] * vec[j] for j in range(m)) for i in range(m)]
+                t.append(sum(row[i] * vec[i] for i in range(m)))
+        new = [0] * (k + 1)
+        for i, c in enumerate(coeffs):
+            new[i] += c
+        for m, tm in enumerate(t):
+            for i, c in enumerate(coeffs):
+                if i + m + 1 <= k:
+                    new[i + m + 1] -= tm * c
+        coeffs = new
+    return IntPolynomial.from_list(list(reversed(coeffs)))
+
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -63,7 +91,7 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def small_corpus():
     """Exhaustive multigraphs with <= 3 nodes, <= 4 arcs."""
-    return exhaustive_graphs(3, 4)
+    return list(enumerate_small_graphs(3, 4))
 
 
 @pytest.fixture(scope="session")

@@ -49,6 +49,14 @@ def test_census_cross(capsys):
     assert code == 0
     rows = [line.split("\t") for line in out.strip().splitlines()]
     assert [r[1] for r in rows] == ["0", "8", "0", "32", "0", "128"]
+    counts = [0, 8, 0, 32, 0, 128, 0, 512, 0, 2048]
+    code, out, _ = invoke(capsys, "census", "cross")
+    assert (code, out) == (0, "".join(f"{n}\t{c}\n" for n, c in
+                                      enumerate(counts, start=1)))
+    code, out, _ = invoke(capsys, "census", "cross", "--json")
+    assert (code, out) == (0, '{\n  "counts": [\n' +
+                           ",\n".join(f"    {c}" for c in counts) +
+                           '\n  ],\n  "upto": 10\n}\n')
 
 
 def test_charpoly_empty(capsys):

@@ -2,14 +2,30 @@ import random
 
 import pytest
 
-from gphom.errors import IntegralityViolation, InvalidInput
-from gphom.graphs import coproduct, cycle_graph, cross_graph, figure_eight, \
-    product, undirected_cycle, enumerate_morphisms
+from gphom import spectral
+from gphom.errors import IntegralityViolation, InternalInconsistency, InvalidInput
+from gphom.graphs import Arc, Graph, coproduct, cycle_graph, cross_graph, \
+    figure_eight, product, undirected_cycle, enumerate_morphisms
+from gphom.homotopy import homotopy_equivalent
 from gphom.spectral import (IntPolynomial, adjacency_matrix, char_poly,
-                            cycle_count, expand_log_exp, newton_power_sums,
-                            reversed_char_poly, zeta_series)
+                            closed_walk_counts, cycle_count, expand_log_exp,
+                            newton_power_sums, reversed_char_poly, zeta_series)
+from gphom.witt import from_graph
 
-from conftest import random_graph
+from conftest import (brute_force_closed_walks, dense_char_poly,
+                      dense_cycle_count, random_graph)
+
+
+def multigraph(rnd: random.Random, k: int) -> Graph:
+    """k nodes and 3k random arcs, plus a loop and a parallel arc when k > 0."""
+    pairs = [(rnd.randrange(k), rnd.randrange(k)) for _ in range(3 * k)]
+    if k:
+        pairs += [(k - 1, k - 1), pairs[0]]
+    return Graph(tuple(str(i) for i in range(k)),
+                 tuple(Arc(f"a{i}", str(u), str(v)) for i, (u, v) in enumerate(pairs)))
+
+
+SIZES = range(25)
 
 
 def test_adjacency_matrix_examples():
@@ -38,6 +54,23 @@ def test_char_poly_monic_and_degree():
         a = char_poly(adjacency_matrix(X))
         assert a.degree == len(X.nodes)
         assert a[a.degree] == 1
+
+
+def test_char_poly_matches_dense_oracle():
+    rnd = random.Random(14)
+    for k in SIZES:
+        A = adjacency_matrix(multigraph(rnd, k))
+        assert char_poly(A) == dense_char_poly(A)
+
+
+def test_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(14)
+    for k in SIZES:
+        A = adjacency_matrix(multigraph(rnd, k))
+        expected = sympy.Matrix(k, k, [x for row in A for x in row]).charpoly()
+        assert list(char_poly(A).coefficients) == \
+            [int(c) for c in reversed(expected.all_coeffs())]
 
 
 def test_reversed_char_poly():
@@ -80,6 +113,36 @@ def test_cycle_count_matches_enumeration(small_corpus):
         for n in range(1, 7):
             assert cycle_count(X, n) == \
                 len(enumerate_morphisms(cycle_graph(n), X))
+
+
+def test_closed_walk_counts_match_matrix_powers():
+    rnd = random.Random(15)
+    for k in range(0, 13, 2):
+        X = multigraph(rnd, k)
+        N = 2 * k + 2
+        assert closed_walk_counts(X, N) == \
+            [dense_cycle_count(X, n) for n in range(1, N + 1)]
+    assert closed_walk_counts(cross_graph(), 0) == []
+
+
+def test_closed_walk_counts_match_brute_force(small_corpus):
+    rnd = random.Random(16)
+    for X in rnd.sample(small_corpus, 30):
+        assert closed_walk_counts(X, 5) == \
+            [len(brute_force_closed_walks(X, n)) for n in range(1, 6)]
+
+
+def test_ghost_row_extends_past_degree():
+    # Newton's identities past n = k become a recurrence of order k
+    rnd = random.Random(17)
+    for k in range(0, 9):
+        X = multigraph(rnd, k)
+        N = 3 * k + 3
+        oracle = [dense_cycle_count(X, n) for n in range(1, N + 1)]
+        assert from_graph(X).ghost_row(N) == oracle
+        S = from_graph(X)
+        assert S.ghost(N) == oracle[-1]
+        assert S.ghost_row(N) == oracle
 
 
 def test_newton_consistency():
@@ -142,6 +205,37 @@ def test_ghost_multiplicative_over_product():
 def test_expand_log_exp_rejects_nonintegral():
     with pytest.raises(IntegralityViolation):
         expand_log_exp(lambda n: 1 if n == 2 else 0, 3)
+
+
+def perturb_walk_counts(monkeypatch, victim: Graph, delta):
+    """Make spectral.closed_walk_counts add delta(upto) to the last count of
+    `victim` only; the polynomial route stays intact."""
+    real = spectral.closed_walk_counts
+
+    def fake(X, upto):
+        counts = real(X, upto)
+        if X is victim and counts:
+            counts[-1] += delta(upto)
+        return counts
+
+    monkeypatch.setattr(spectral, "closed_walk_counts", fake)
+
+
+@pytest.mark.parametrize("delta", [lambda n: 1, lambda n: n],
+                         ids=["non-integral", "integral"])
+def test_zeta_cross_check_fires(monkeypatch, delta):
+    X = cross_graph()
+    perturb_walk_counts(monkeypatch, X, delta)
+    with pytest.raises(IntegralityViolation):
+        zeta_series(X, 8)
+
+
+def test_homotopy_cross_check_fires(monkeypatch):
+    X, Y = cross_graph(), undirected_cycle(4)
+    assert homotopy_equivalent(X, Y)
+    perturb_walk_counts(monkeypatch, X, lambda n: 1)
+    with pytest.raises(InternalInconsistency):
+        homotopy_equivalent(X, Y)
 
 
 def test_cycle_count_rejects_bad_n():
