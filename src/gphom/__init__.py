@@ -15,7 +15,7 @@ from .graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism, arrow_graph,
                      dot_graph, enumerate_morphisms, figure_eight,
                      graph_from_json, graph_to_json, identity, is_isomorphic,
                      morphism_from_json, morphism_to_json, path_graph,
-                     product, pushout, undirected_cycle)
+                     product, pullback, pushout, undirected_cycle)
 from .spectral import (IntPolynomial, ZetaSeries, adjacency_matrix, char_poly,
                        closed_walk_counts, cycle_count, reversed_char_poly,
                        zeta_series)

@@ -16,10 +16,10 @@ import sys
 
 from . import dynamics, homotopy, model, spectral, witt
 from .errors import BudgetExceeded, GphomError, InvalidInput
-from .graphs import (Budget, EMPTY, Graph, arrow_graph, cross_graph,
-                     cycle_graph, dot_graph, figure_eight, graph_from_json,
-                     graph_to_json, morphism_from_json, morphism_to_json,
-                     path_graph, undirected_cycle)
+from .graphs import (DEFAULT_BUDGET, Budget, EMPTY, Graph, arrow_graph,
+                     cross_graph, cycle_graph, dot_graph, figure_eight,
+                     graph_from_json, graph_to_json, morphism_from_json,
+                     morphism_to_json, path_graph, undirected_cycle)
 
 ENV_BUDGET = "GPHOM_BUDGET"
 
@@ -206,8 +206,11 @@ def cmd_explore(args) -> int:
             flag = f"  NON-ISOMORPHIC: {shown}"
         lines.append(f"{b.signature.format()}: {', '.join(names)}{flag}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"buckets": report}, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.out, "w") as fh:
+                json.dump({"buckets": report}, fh, indent=2, sort_keys=True)
+        except OSError as e:
+            raise InvalidInput(f"cannot write {args.out!r}: {e}") from e
         lines.append(f"report written to {args.out}")
     _emit(args, {"buckets": report}, lines)
     return 0
@@ -240,11 +243,29 @@ def cmd_zset(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _resolve_budget(flag: int | None) -> int:
+    """--budget if given, else $GPHOM_BUDGET, else the default; >= 0."""
+    origin, value = "--budget", flag
+    if value is None:
+        raw = os.environ.get(ENV_BUDGET)
+        if raw is None:
+            return DEFAULT_BUDGET
+        origin = ENV_BUDGET
+        try:
+            value = int(raw)
+        except ValueError:
+            raise InvalidInput(f"{ENV_BUDGET} must be an integer, "
+                               f"got {raw!r}") from None
+    if value < 0:
+        raise InvalidInput(f"{origin} must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    default_budget = int(os.environ.get(ENV_BUDGET, 10**7))
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=default_budget,
-                        help="search-node budget for exhaustive searches")
+    common.add_argument("--budget", type=int, default=None,
+                        help="search-node budget for exhaustive searches "
+                             f"(default: ${ENV_BUDGET} or {DEFAULT_BUDGET})")
     common.add_argument("--json", action="store_true",
                         help="emit JSON instead of text")
     parser = argparse.ArgumentParser(
@@ -300,6 +321,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.budget = _resolve_budget(args.budget)
         return args.fn(args)
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import BudgetExceeded, InvalidGraph, InvalidInput
 
@@ -194,15 +195,60 @@ def undirected_cycle(n: int) -> Graph:
 # Categorical constructions (elementwise, as in any presheaf category)
 
 def _pair(x: str, y: str) -> str:
-    return f"({x},{y})"
+    """The JSON array [x, y], as json.dumps writes it: injective whatever
+    characters the ids hold."""
+    return f"[{_json_string(x)}, {_json_string(y)}]"
+
+
+def pullback(f: GraphMorphism, g: GraphMorphism):
+    """Pullback of a cospan f: X -> B, g: Z -> B sharing target B.
+
+    Nodes and arcs are the pairs (x, z) with f(x) == g(z), in the order of
+    X and then of Z.  Returns (graph, to_left, to_right) where the cone
+    morphisms satisfy f . to_left == g . to_right.
+    """
+    if f.target is not g.target and f.target != g.target:
+        raise InvalidGraph("pullback legs must share their target")
+    X, Z = f.source, g.source
+    node_fibre: dict[str, list[str]] = {}
+    for z in Z.nodes:
+        node_fibre.setdefault(g.node_map[z], []).append(z)
+    arc_fibre: dict[str, list[Arc]] = {}
+    for b in Z.arcs:
+        arc_fibre.setdefault(g.arc_map[b.id], []).append(b)
+
+    nodes = []
+    left_nodes: dict[str, str] = {}
+    right_nodes: dict[str, str] = {}
+    for x in X.nodes:
+        for z in node_fibre.get(f.node_map[x], ()):
+            p = _pair(x, z)
+            nodes.append(p)
+            left_nodes[p] = x
+            right_nodes[p] = z
+    arcs = []
+    left_arcs: dict[str, str] = {}
+    right_arcs: dict[str, str] = {}
+    for a in X.arcs:
+        for b in arc_fibre.get(f.arc_map[a.id], ()):
+            p = _pair(a.id, b.id)
+            arcs.append(Arc(p, _pair(a.src, b.src), _pair(a.tgt, b.tgt)))
+            left_arcs[p] = a.id
+            right_arcs[p] = b.id
+    P = Graph(tuple(nodes), tuple(arcs))
+    return (P, GraphMorphism(P, X, left_nodes, left_arcs),
+            GraphMorphism(P, Z, right_nodes, right_arcs))
+
+
+def _to_terminal(X: Graph) -> GraphMorphism:
+    """The unique morphism to C_1, the terminal graph (one node, one loop)."""
+    return GraphMorphism(X, cycle_graph(1), {v: "0" for v in X.nodes},
+                         {a.id: "0" for a in X.arcs})
 
 
 def product(X: Graph, Y: Graph) -> Graph:
-    nodes = tuple(_pair(u, v) for u in X.nodes for v in Y.nodes)
-    arcs = tuple(
-        Arc(_pair(a.id, b.id), _pair(a.src, b.src), _pair(a.tgt, b.tgt))
-        for a in X.arcs for b in Y.arcs)
-    return Graph(nodes, arcs)
+    """X x Y, the pullback of X -> 1 <- Y."""
+    return pullback(_to_terminal(X), _to_terminal(Y))[0]
 
 
 def coproduct_with_injections(X: Graph, Y: Graph):

@@ -3,19 +3,22 @@ cycle resolution.
 
 The three morphism classes: Surjecting (fibrations), Whiskering (acyclic
 cofibrations, i.e. tree attachments), and Acyclic (weak equivalences,
-semi-decided up to a bound on cycle length).  The cycle resolution of a
-finite graph is a disjoint union of cycles, one per necklace of closed
-walks, and comes with explicit counit morphisms back to the graph.
+decided exactly up to a bound on cycle length by counting closed walks in
+the pullback X x_Y X).  The cycle resolution of a finite graph is a
+disjoint union of cycles, one per necklace of closed walks, and comes with
+explicit counit morphisms back to the graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidGraph, InvalidInput
 from .graphs import (Arc, Budget, Graph, GraphMorphism, arrow_graph,
                      coproduct_with_injections, cycle_graph, dot_graph,
-                     enumerate_morphisms, identity, pushout, EMPTY)
+                     identity, pullback, pushout, EMPTY)
+from .spectral import closed_walk_counts
 from .witt import from_graph
 
 
@@ -70,21 +73,24 @@ def is_whiskering(f: GraphMorphism) -> bool:
 
 def is_acyclic_bounded(f: GraphMorphism, N: int,
                        budget: Budget | None = None) -> bool:
-    """Bijective on cycle-morphism sets C_n(-) for all n <= N.
+    """Bijective on cycle-morphism sets C_n(-) for all n <= N, exactly.
 
-    A semi-decision: True means acyclic up to the bound only.
+    Graphs are presheaves, so Hom(C_n, X x_Y X) is the fibre product of
+    Hom(C_n, X) with itself over Hom(C_n, Y) and counts pairs of closed
+    walks with equal image.  Its size c_n(X x_Y X) equals c_n(X) exactly
+    when f is injective on C_n, and then c_n(X) == c_n(Y) exactly when f
+    is also surjective.  The pullback's size is spent on `budget` before
+    it is built.
     """
     if N < 1:
         raise InvalidInput("acyclicity bound must be >= 1")
     budget = budget or Budget()
-    for n in range(1, N + 1):
-        Cn = cycle_graph(n)
-        src = enumerate_morphisms(Cn, f.source, budget)
-        tgt = enumerate_morphisms(Cn, f.target, budget)
-        images = {morphism_key(f.compose(m)) for m in src}
-        if len(images) != len(src) or images != {morphism_key(m) for m in tgt}:
-            return False
-    return True
+    budget.spend(sum(k * k for k in Counter(f.node_map.values()).values())
+                 + sum(k * k for k in Counter(f.arc_map.values()).values()))
+    cx = closed_walk_counts(f.source, N)
+    if cx != closed_walk_counts(f.target, N):
+        return False
+    return closed_walk_counts(pullback(f, f)[0], N) == cx
 
 
 def is_fibrant(X: Graph) -> bool:

@@ -4,7 +4,8 @@ Two primitives carry every invariant.  `char_poly` runs the division-free
 Berkowitz algorithm over sparse rows; det(I - uA), the zeta series (its
 inverse) and, through Newton's identities, the ghost components derive from
 it.  `closed_walk_counts` gives tr(A^n) for n = 1..N in one sweep over the
-arcs, independently of the polynomial, so each route can check the other.
+arcs of each strongly connected component, independently of the
+polynomial, so each route can check the other.
 No floating point anywhere: all coefficients are Python ints.
 """
 
@@ -133,26 +134,92 @@ def reversed_char_poly(A: list[list[int]]) -> IntPolynomial:
     return IntPolynomial.from_list([a[n - k] for k in range(n + 1)])
 
 
+def _strong_components(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of the digraph with successor lists
+    `succ`, by Tarjan's algorithm with an explicit stack instead of
+    recursion, so long paths cannot exhaust the interpreter's stack."""
+    size = len(succ)
+    index = [-1] * size
+    low = [0] * size
+    on_stack = [False] * size
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
 def closed_walk_counts(X: Graph, upto: int) -> list[int]:
     """[c_1, ..., c_upto] with c_n = tr(A^n), the closed walks of length n.
 
-    For each start node, walk counts are pushed along every arc once per
-    length: O(k * upto * (k + arcs)) integer additions, and no use of the
-    characteristic polynomial.  Empty when upto < 1.
+    A closed walk never leaves the strongly connected component it starts
+    in, so tr(A^n) is the sum of the traces of the components' blocks, and
+    nodes on no cycle contribute nothing.  Within a component, walk counts
+    from each start node are pushed along its arcs once per length:
+    O(sum over components of k_C * upto * (k_C + arcs_C)) integer
+    additions, and no use of the characteristic polynomial.  Empty when
+    upto < 1.
     """
     idx = X.node_index
-    size = len(X.nodes)
-    # preds[j] lists the source of every arc into j, parallel arcs repeated
-    preds: list[list[int]] = [[] for _ in range(size)]
+    succ: list[list[int]] = [[] for _ in X.nodes]
     for a in X.arcs:
-        preds[idx[a.tgt]].append(idx[a.src])
+        succ[idx[a.src]].append(idx[a.tgt])
+    comps = _strong_components(succ)
+    comp_of = [0] * len(succ)
+    pos = [0] * len(succ)
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            comp_of[v] = c
+            pos[v] = i
+    # preds[c][j] lists the source of every arc into node j of component c
+    # from inside c, parallel arcs repeated
+    preds = [[[] for _ in comp] for comp in comps]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            if comp_of[v] == comp_of[w]:
+                preds[comp_of[w]][pos[w]].append(pos[v])
     counts = [0] * max(upto, 0)
-    for s in range(size):
-        vec = [0] * size
-        vec[s] = 1
-        for n in range(upto):
-            vec = [sum(map(vec.__getitem__, p)) for p in preds]
-            counts[n] += vec[s]
+    for block in preds:
+        if not any(block):   # a single node without a loop
+            continue
+        for s in range(len(block)):
+            vec = [0] * len(block)
+            vec[s] = 1
+            for n in range(upto):
+                vec = [sum(map(vec.__getitem__, p)) for p in block]
+                counts[n] += vec[s]
     return counts
 
 

@@ -1,10 +1,13 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from gphom.graphs import Arc, Graph
+from gphom.graphs import (Arc, Graph, GraphMorphism, cycle_graph,
+                          enumerate_morphisms)
 from gphom.homotopy import enumerate_small_graphs
+from gphom.model import morphism_key
 from gphom.spectral import IntPolynomial, adjacency_matrix
 
 
@@ -34,6 +37,28 @@ def brute_force_necklace_count(X: Graph, n: int) -> int:
         if len(rots) == n:
             aperiodic.add(min(rots))
     return len(aperiodic)
+
+
+@functools.lru_cache(maxsize=None)
+def cycle_homs(n: int, X: Graph) -> tuple[GraphMorphism, ...]:
+    """Every morphism C_n -> X, found by search; cached because the
+    exhaustive tests ask for the same few graphs thousands of times."""
+    return tuple(enumerate_morphisms(cycle_graph(n), X))
+
+
+def brute_force_acyclic_bounded(f: GraphMorphism, N: int) -> bool:
+    """Search oracle for acyclicity up to N: enumerate every morphism
+    C_n -> X and C_n -> Y and check that composing with f is a bijection."""
+    for n in range(1, N + 1):
+        src = cycle_homs(n, f.source)
+        tgt = cycle_homs(n, f.target)
+        # morphism_key of f . m, without building and validating f . m
+        images = {(tuple(f.node_map[m.node_map[v]] for v in m.source.nodes),
+                   tuple(f.arc_map[m.arc_map[a.id]] for a in m.source.arcs))
+                  for m in src}
+        if len(images) != len(src) or images != {morphism_key(m) for m in tgt}:
+            return False
+    return True
 
 
 def dense_cycle_count(X: Graph, n: int) -> int:

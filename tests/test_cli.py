@@ -190,6 +190,41 @@ def test_budget_exit_code(capsys, tmp_path):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("env, flag, message", [
+    ("abc", None, "GPHOM_BUDGET must be an integer"),
+    ("-1", None, "GPHOM_BUDGET must be >= 0"),
+    (None, "-5", "--budget must be >= 0"),
+])
+def test_bad_budget_exit_code(capsys, monkeypatch, env, flag, message):
+    if env is None:
+        monkeypatch.delenv("GPHOM_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("GPHOM_BUDGET", env)
+    argv = ["census", "cross"] + (["--budget", flag] if flag else [])
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_budget_from_environment(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(morphism_to_json(cycle_fold(4))))
+    monkeypatch.setenv("GPHOM_BUDGET", "10")
+    code, _, err = invoke(capsys, "classify", str(path), "--upto", "6")
+    assert code == 3 and "budget" in err
+    code, _, _ = invoke(capsys, "classify", str(path), "--upto", "6",
+                        "--budget", "100")
+    assert code == 0
+
+
+def test_explore_unwritable_out(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = invoke(capsys, "explore", "--nodes", "2", "--arcs", "2",
+                            "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 def test_deterministic_output(capsys):
     runs = []
     for _ in range(2):

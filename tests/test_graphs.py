@@ -1,6 +1,10 @@
+import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gphom.errors import BudgetExceeded, InvalidGraph, InvalidInput
 from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
@@ -9,10 +13,11 @@ from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
                           dot_graph, enumerate_morphisms, figure_eight,
                           graph_from_json, graph_to_json, identity,
                           is_isomorphic, morphism_from_json, morphism_to_json,
-                          path_graph, product, pushout, undirected_cycle)
-from gphom.spectral import cycle_count
+                          path_graph, product, pullback, pushout,
+                          undirected_cycle)
+from gphom.spectral import closed_walk_counts, cycle_count
 
-from conftest import random_graph
+from conftest import brute_force_closed_walks, random_graph
 
 
 def test_cycle_graph_basic():
@@ -85,6 +90,99 @@ def test_product_symmetric_up_to_iso(small_corpus):
     for X in picks:
         Y = rnd.choice(picks)
         assert is_isomorphic(product(X, Y), product(Y, X))[0]
+
+
+def seeded_cospans(rnd: random.Random, how_many: int):
+    """Seeded cospans f: X -> B <- Z: g, each leg drawn from all morphisms."""
+    out = []
+    while len(out) < how_many:
+        B = random_graph(rnd, 2, 4)
+        X, Z = random_graph(rnd, 3, 4), random_graph(rnd, 3, 4)
+        fs, gs = enumerate_morphisms(X, B), enumerate_morphisms(Z, B)
+        if fs and gs:
+            out.append((rnd.choice(fs), rnd.choice(gs)))
+    return out
+
+
+def test_pullback_legs_commute():
+    for f, g in seeded_cospans(random.Random(4), 40):
+        P, to_left, to_right = pullback(f, g)
+        assert f.compose(to_left).node_map == g.compose(to_right).node_map
+        assert f.compose(to_left).arc_map == g.compose(to_right).arc_map
+
+
+def test_pullback_census_counts_pairs_of_walks_with_equal_image():
+    rnd = random.Random(5)
+    for f, _ in seeded_cospans(rnd, 25):
+        P = pullback(f, f)[0]
+        expected = []
+        for n in range(1, 5):
+            images = Counter(tuple(f.arc_map[a] for a in w)
+                             for w in brute_force_closed_walks(f.source, n))
+            expected.append(sum(k * k for k in images.values()))
+        assert closed_walk_counts(P, 4) == expected
+
+
+def test_pullback_rejects_mismatched_targets():
+    with pytest.raises(InvalidGraph):
+        pullback(identity(cycle_graph(2)), identity(cycle_graph(3)))
+
+
+# ids full of the characters an encoding of pairs or tags might use
+ids = st.text(alphabet=st.sampled_from('ab,()"[]:0\\ '), max_size=4)
+
+
+@st.composite
+def graphs(draw, max_nodes=3, max_arcs=4):
+    nodes = draw(st.lists(ids, min_size=1, max_size=max_nodes, unique=True))
+    arc_ids = draw(st.lists(ids, max_size=max_arcs, unique=True))
+    ends = st.sampled_from(nodes)
+    return Graph(tuple(nodes), tuple(Arc(a, draw(ends), draw(ends))
+                                     for a in arc_ids))
+
+
+COMPLETE = Graph(("0", "1"), tuple(Arc(u + v, u, v) for u in "01" for v in "01"))
+
+
+def to_complete_graph(X: Graph, colours: str) -> GraphMorphism:
+    """X -> K, where K has nodes 0 and 1 and one arc per ordered pair, so
+    any node colouring (colours[i] for the i-th node) extends to a unique
+    morphism."""
+    nm = dict(zip(X.nodes, colours))
+    return GraphMorphism(X, COMPLETE, nm,
+                         {a.id: nm[a.src] + nm[a.tgt] for a in X.arcs})
+
+
+colourings = st.text(alphabet="01", min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), graphs(), st.integers(0, 2), st.integers(0, 2),
+       colourings, colourings)
+# "(x,y)" ids made ("a", "b,c") and ("a,b", "c") collide
+@example(Graph(("a", "a,b"), ()), Graph(("b,c", "c"), ()), 0, 0, "000", "000")
+def test_constructions_accept_arbitrary_ids(X, Y, i, j, cx, cy):
+    P = product(X, Y)
+    assert [json.loads(p) for p in P.nodes] == \
+        [[u, v] for u in X.nodes for v in Y.nodes]
+    assert [json.loads(a.id) for a in P.arcs] == \
+        [[a.id, b.id] for a in X.arcs for b in Y.arcs]
+    S = coproduct(X, Y)
+    assert (len(S.nodes), len(S.arcs)) == \
+        (len(X.nodes) + len(Y.nodes), len(X.arcs) + len(Y.arcs))
+    # the wedge: one node of each glued together
+    x, y = X.nodes[i % len(X.nodes)], Y.nodes[j % len(Y.nodes)]
+    W = pushout(GraphMorphism(dot_graph(), X, {"0": x}, {}),
+                GraphMorphism(dot_graph(), Y, {"0": y}, {}))[0]
+    assert (len(W.nodes), len(W.arcs)) == \
+        (len(X.nodes) + len(Y.nodes) - 1, len(X.arcs) + len(Y.arcs))
+    f, g = to_complete_graph(X, cx), to_complete_graph(Y, cy)
+    Q = pullback(f, g)[0]
+    fn, gn = Counter(f.node_map.values()), Counter(g.node_map.values())
+    fa, ga = Counter(f.arc_map.values()), Counter(g.arc_map.values())
+    assert (len(Q.nodes), len(Q.arcs)) == \
+        (sum(fn[b] * gn[b] for b in COMPLETE.nodes),
+         sum(fa[b.id] * ga[b.id] for b in COMPLETE.arcs))
 
 
 def test_coproduct_counts_and_unit():

@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
 
-from gphom.errors import InternalInconsistency, InvalidGraph
+from gphom.errors import BudgetExceeded, InternalInconsistency, InvalidGraph
 from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
                           arrow_graph, connected_components, coproduct,
                           cross_graph, cycle_graph, dot_graph,
                           enumerate_morphisms, figure_eight, identity,
                           is_isomorphic, path_graph)
+from gphom.homotopy import enumerate_small_graphs
 from gphom.model import (GeneratorSet, LiftingProblem, aperiodic_necklaces,
                          closed_walks, cofibrant_replacement, cycle_fold,
                          cycle_projection, cycle_projection_via_pushout,
@@ -17,7 +19,8 @@ from gphom.model import (GeneratorSet, LiftingProblem, aperiodic_necklaces,
                          source_inclusion)
 from gphom.witt import from_graph
 
-from conftest import brute_force_closed_walks, random_graph
+from conftest import (brute_force_acyclic_bounded, brute_force_closed_walks,
+                      random_graph)
 
 
 def attach_whiskers(X: Graph, rnd: random.Random, count: int) -> GraphMorphism:
@@ -73,6 +76,40 @@ def test_whiskerings_are_acyclic():
         X = random_graph(rnd, 3, 4)
         w = attach_whiskers(X, rnd, 2)
         assert is_acyclic_bounded(w, 4)
+
+
+def test_acyclic_matches_search_on_every_small_morphism():
+    small = list(enumerate_small_graphs(2, 3))
+    verdicts = Counter()
+    for X in small:
+        for Y in small:
+            for f in enumerate_morphisms(X, Y):
+                for N in (1, 3, 5):
+                    fast = is_acyclic_bounded(f, N)
+                    assert fast == brute_force_acyclic_bounded(f, N), (f, N)
+                    verdicts[fast] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_acyclic_matches_search_on_structured_maps():
+    rnd = random.Random(34)
+    maps = [cycle_fold(n) for n in range(1, 4)]
+    maps += [cycle_projection(n, k) for n in range(1, 4) for k in range(1, 4)]
+    maps += [attach_whiskers(random_graph(rnd, 3, 4), rnd, 2) for _ in range(6)]
+    maps += [cofibrant_replacement(random_graph(rnd, 3, 4), N).counit
+             for N in (1, 2, 3, 3)]
+    for f in maps:
+        for N in (1, 2, 4, 6):
+            assert is_acyclic_bounded(f, N) == brute_force_acyclic_bounded(f, N)
+
+
+def test_acyclic_spends_the_pullback_size():
+    # C_4 + C_4 -> C_4: every fibre has two nodes or two arcs
+    with pytest.raises(BudgetExceeded):
+        is_acyclic_bounded(cycle_fold(4), 6, Budget(31))
+    budget = Budget(32)
+    assert not is_acyclic_bounded(cycle_fold(4), 6, budget)
+    assert budget.used == 32
 
 
 def test_fibrant():

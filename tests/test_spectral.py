@@ -5,7 +5,7 @@ import pytest
 from gphom import spectral
 from gphom.errors import IntegralityViolation, InternalInconsistency, InvalidInput
 from gphom.graphs import Arc, Graph, coproduct, cycle_graph, cross_graph, \
-    figure_eight, product, undirected_cycle, enumerate_morphisms
+    figure_eight, path_graph, product, undirected_cycle, enumerate_morphisms
 from gphom.homotopy import homotopy_equivalent
 from gphom.spectral import (IntPolynomial, adjacency_matrix, char_poly,
                             closed_walk_counts, cycle_count, expand_log_exp,
@@ -123,6 +123,38 @@ def test_closed_walk_counts_match_matrix_powers():
         assert closed_walk_counts(X, N) == \
             [dense_cycle_count(X, n) for n in range(1, N + 1)]
     assert closed_walk_counts(cross_graph(), 0) == []
+
+
+def layered_multigraph(rnd: random.Random, k: int) -> Graph:
+    """k nodes in random layers: arcs inside a layer in both directions, and
+    between layers only upwards, so some nodes lie on no cycle and the
+    strongly connected components are several; plus a loop and a parallel
+    arc."""
+    layer = [rnd.randrange(4) for _ in range(k)]
+    pairs = []
+    while len(pairs) < 2 * k:
+        u, v = rnd.randrange(k), rnd.randrange(k)
+        if layer[u] <= layer[v]:
+            pairs.append((u, v))
+    pairs += [(0, 0), pairs[0]]
+    return Graph(tuple(str(i) for i in range(k)),
+                 tuple(Arc(f"a{i}", str(u), str(v)) for i, (u, v) in enumerate(pairs)))
+
+
+def test_closed_walk_counts_sum_over_components():
+    rnd = random.Random(17)
+    for k in range(1, 13):
+        X = layered_multigraph(rnd, k)
+        X = coproduct(X, coproduct(path_graph(rnd.randrange(4)), multigraph(rnd, 3)))
+        assert closed_walk_counts(X, 8) == \
+            [dense_cycle_count(X, n) for n in range(1, 9)]
+
+
+def test_closed_walk_counts_long_path_does_not_recurse():
+    P = path_graph(3000)
+    X = Graph(P.nodes, P.arcs + (Arc("back", "3000", "2999"),))
+    assert closed_walk_counts(X, 6) == [0, 2, 0, 2, 0, 2]
+    assert closed_walk_counts(P, 3) == [0, 0, 0]
 
 
 def test_closed_walk_counts_match_brute_force(small_corpus):
