@@ -23,8 +23,8 @@ from .witt import (AlmostFiniteZSet, burnside_add, burnside_mul, from_ghost,
                    from_graph, from_witt, ghost_to_witt, witt_to_ghost,
                    zeta_product_form)
 from .model import (CycleResolution, GeneratorSet, LiftingProblem,
-                    aperiodic_necklaces, closed_walks, cofibrant_replacement,
-                    cycle_fold, cycle_projection, factorize_bounded, find_lift,
+                    aperiodic_necklaces, cofibrant_replacement, cycle_fold,
+                    cycle_projection, factorize_bounded, find_lift,
                     initial_to_cycle, is_acyclic_bounded, is_cofibrant,
                     is_fibrant, is_surjecting, is_whiskering, source_inclusion)
 from .dynamics import (FinNSet, FinZSet, NSetMap, cayley_graph,

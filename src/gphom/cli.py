@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 negative verdict (e.g. NOT homotopy equivalent,
 NO-LIFT), 2 input error, 3 search budget exhausted.
 
 Graph arguments are either JSON files or built-in names: cross, uc4,
-figure-eight, dot, arrow, empty, cycle:n, path:n.
+figure-eight, dot, arrow, empty, cycle:n, path:n, ucycle:n.  The sized
+builtins accept n <= MAX_BUILTIN_SIZE.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .graphs import (DEFAULT_BUDGET, Budget, EMPTY, Graph, arrow_graph,
                      morphism_to_json, path_graph, undirected_cycle)
 
 ENV_BUDGET = "GPHOM_BUDGET"
+MAX_BUILTIN_SIZE = 10**4    # largest n of cycle:n, path:n and ucycle:n
 
 _BUILTINS = {
     "cross": cross_graph,
@@ -40,9 +42,13 @@ def load_graph(name: str) -> Graph:
                             ("ucycle:", undirected_cycle)):
         if name.startswith(prefix):
             try:
-                return builder(int(name[len(prefix):]))
+                size = int(name[len(prefix):])
             except ValueError as e:
                 raise InvalidInput(f"bad parameter in {name!r}") from e
+            if size > MAX_BUILTIN_SIZE:
+                raise InvalidInput(f"size in {name!r} exceeds the limit of "
+                                   f"{MAX_BUILTIN_SIZE}")
+            return builder(size)
     return graph_from_json(_load_json(name))
 
 

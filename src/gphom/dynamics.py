@@ -125,26 +125,15 @@ def periodic_part(S: FinNSet) -> FinZSet:
     return FinZSet(tuple(periodic), {x: S.sigma[x] for x in periodic})
 
 
-def periodic_points(S: FinNSet, n: int) -> list[str]:
-    """Elements with sigma^n(x) = x."""
-    return [x for x in S.elements if S.apply(x, n) == x]
+def is_nset_acyclic(f: NSetMap) -> bool:
+    """Bijective on n-periodic points for every n > 0.
 
-
-def is_nset_acyclic(f: NSetMap, bound: int | None = None) -> bool:
-    """Bijective on n-periodic points for all n <= bound.
-
-    The default bound max(|S|, |T|) is sufficient for finite N-sets: every
-    periodic point has period at most the set size.
+    Those points make up the periodic parts, which f maps into each other,
+    so this is exactly: f restricted to the periodic parts is a bijection.
     """
-    if bound is None:
-        bound = max(len(f.source.elements), len(f.target.elements), 1)
-    for n in range(1, bound + 1):
-        src = periodic_points(f.source, n)
-        tgt = periodic_points(f.target, n)
-        image = [f(x) for x in src]
-        if len(set(image)) != len(src) or set(image) != set(tgt):
-            return False
-    return True
+    P = periodic_part(f.source)
+    return zset_is_acyclic(NSetMap(P, periodic_part(f.target),
+                                   {x: f(x) for x in P.elements}))
 
 
 def is_nset_surjecting(f: NSetMap) -> bool:
@@ -186,9 +175,9 @@ def is_nset_whiskering(f: NSetMap) -> bool:
     return True
 
 
-def classify_nset_map(f: NSetMap, bound: int | None = None) -> dict[str, bool]:
+def classify_nset_map(f: NSetMap) -> dict[str, bool]:
     return {
-        "acyclic_bounded": is_nset_acyclic(f, bound),
+        "acyclic_bounded": is_nset_acyclic(f),
         "surjecting": is_nset_surjecting(f),
         "whiskering": is_nset_whiskering(f),
     }

@@ -99,9 +99,6 @@ class GraphMorphism:
     def __call__(self, node: str) -> str:
         return self.node_map[node]
 
-    def apply_arc(self, arc_id: str) -> str:
-        return self.arc_map[arc_id]
-
     def compose(self, other: "GraphMorphism") -> "GraphMorphism":
         """self after other: (self . other)(x) = self(other(x))."""
         if other.target is not self.source and other.target != self.source:

@@ -5,8 +5,9 @@ The three morphism classes: Surjecting (fibrations), Whiskering (acyclic
 cofibrations, i.e. tree attachments), and Acyclic (weak equivalences,
 decided exactly up to a bound on cycle length by counting closed walks in
 the pullback X x_Y X).  The cycle resolution of a finite graph is a
-disjoint union of cycles, one per necklace of closed walks, and comes with
-explicit counit morphisms back to the graph.
+disjoint union of cycles, one per aperiodic necklace of closed walks, with
+a counit morphism back to the graph.  The necklaces are generated directly
+as the closed walks that are Lyndon words over the arcs ordered by id.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ def is_whiskering(f: GraphMorphism) -> bool:
             if cur in node_image:
                 break
         else:
-            return False
-        if cur not in node_image:
-            # walked back through outside nodes only; re-check termination
             return False
     return True
 
@@ -351,73 +349,54 @@ def factorize_bounded(f: GraphMorphism, depth: int):
 # ---------------------------------------------------------------------------
 # Cycle resolution (cofibrant replacement, truncated)
 
-def closed_walks(X: Graph, n: int, budget: Budget | None = None) -> list[tuple[str, ...]]:
-    """Arc sequences (a_0..a_{n-1}) with src(a_i) = tgt(a_{i+1 mod n}).
+def aperiodic_necklaces(X: Graph, n: int,
+                        budget: Budget | None = None) -> list[tuple[str, ...]]:
+    """One representative per rotation class of aperiodic closed walks of
+    length n, in sorted order: the walk's least rotation, comparing arcs by
+    id string.  A walk (a_0..a_{n-1}) has src(a_i) = tgt(a_{i+1 mod n}).
 
-    These are exactly the morphisms C_n -> X, with arc i of the cycle sent
-    to a_i.
+    The least rotation of an aperiodic word is its Lyndon word, so these
+    are the closed walks that are Lyndon words.  They are generated
+    directly, depth first with an explicit stack: every prefix of a Lyndon
+    word is a prenecklace, and a prenecklace w[:t] of period p extends by
+    an arc b iff b >= w[t - p], keeping period p when equal and taking
+    period t + 1 when greater (Fredricksen-Kessler-Maiorana).  A length-n
+    prefix is Lyndon iff its period is n.  One budget step is spent per
+    arc tried.
     """
     if n < 1:
         raise InvalidInput("walk length must be >= 1")
     budget = budget or Budget()
-    out: list[tuple[str, ...]] = []
-    seq: list[Arc] = []
 
-    def extend():
-        if len(seq) == n:
-            if seq[-1].src == seq[0].tgt:
-                out.append(tuple(a.id for a in seq))
-            return
-        for a in X.arcs:
-            budget.spend()
-            if seq and seq[-1].src != a.tgt:
-                continue
-            seq.append(a)
-            extend()
-            seq.pop()
+    def descending(arcs):
+        # pushed largest first, so the stack pops walks in ascending order
+        return sorted(arcs, key=lambda a: a.id, reverse=True)
 
-    extend()
-    return out
-
-
-def _rotations(walk: tuple[str, ...]):
-    n = len(walk)
-    return [walk[r:] + walk[:r] for r in range(n)]
-
-
-def aperiodic_necklaces(X: Graph, n: int,
-                        budget: Budget | None = None) -> list[tuple[str, ...]]:
-    """One representative (lexicographically least rotation) per rotation
-    class of aperiodic closed walks of length n."""
-    reps = []
-    seen = set()
-    for walk in closed_walks(X, n, budget):
-        if walk in seen:
-            continue
-        rots = _rotations(walk)
-        if len(set(rots)) != n:    # periodic walk, belongs to a shorter orbit
-            seen.update(rots)
-            continue
-        reps.append(min(rots))
-        seen.update(rots)
-    return sorted(reps)
-
-
-def walk_to_morphism(X: Graph, walk: tuple[str, ...],
-                     cycle: Graph | None = None) -> GraphMorphism:
-    """The morphism C_n -> X with arc i sent to walk[i]."""
-    n = len(walk)
-    Cn = cycle if cycle is not None else cycle_graph(n)
-    am = {str(i): walk[i] for i in range(n)}
-    nm = {str(i): X.arc_by_id[walk[i]].tgt for i in range(n)}
-    return GraphMorphism(Cn, X, nm, am)
+    follow = {v: descending(arcs) for v, arcs in X.in_arcs.items()}
+    stack = [(0, 1, a) for a in descending(X.arcs)]    # (index, period, arc)
+    budget.spend(len(stack))
+    walk: list[Arc] = []
+    reps: list[tuple[str, ...]] = []
+    while stack:
+        t, p, a = stack.pop()
+        del walk[t:]
+        walk.append(a)
+        if t + 1 < n:
+            least = walk[t + 1 - p].id
+            for b in follow[a.src]:
+                budget.spend()
+                if b.id < least:
+                    break
+                stack.append((t + 1, p if b.id == least else t + 2, b))
+        elif p == n and a.src == walk[0].tgt:
+            reps.append(tuple(b.id for b in walk))
+    return reps
 
 
 @dataclass(frozen=True, repr=False)
 class CycleResolution:
     graph: Graph
     counit: GraphMorphism                  # combined morphism onto X
-    pieces: tuple[GraphMorphism, ...]      # one C_n -> X per necklace
     witt_summary: dict[int, int]
 
     def __repr__(self):
@@ -428,8 +407,9 @@ def cofibrant_replacement(X: Graph, N: int,
                           budget: Budget | None = None) -> CycleResolution:
     """Disjoint union of s_n copies of C_n for n <= N, with counit into X.
 
-    Each copy is carried by a distinct aperiodic-walk representative; the
-    per-n counts are cross-checked against the Witt coordinates of X.
+    Each copy is carried by a distinct aperiodic necklace, and the counit
+    sends it around that necklace's Lyndon walk; the per-n counts are
+    cross-checked against the Witt coordinates of X.
     """
     if N < 1:
         raise InvalidInput("resolution bound must be >= 1")
@@ -439,7 +419,6 @@ def cofibrant_replacement(X: Graph, N: int,
     arcs: list[Arc] = []
     node_map: dict[str, str] = {}
     arc_map: dict[str, str] = {}
-    pieces: list[GraphMorphism] = []
     summary: dict[int, int] = {}
 
     for n in range(1, N + 1):
@@ -455,8 +434,7 @@ def cofibrant_replacement(X: Graph, N: int,
                 arcs.append(Arc(f"{prefix}{i}", f"{prefix}{(i + 1) % n}", f"{prefix}{i}"))
                 arc_map[f"{prefix}{i}"] = walk[i]
                 node_map[f"{prefix}{i}"] = X.arc_by_id[walk[i]].tgt
-            pieces.append(walk_to_morphism(X, walk))
 
     C = Graph(tuple(nodes), tuple(arcs))
     counit = GraphMorphism(C, X, node_map, arc_map)
-    return CycleResolution(C, counit, tuple(pieces), summary)
+    return CycleResolution(C, counit, summary)

@@ -29,14 +29,15 @@ def brute_force_closed_walks(X: Graph, n: int):
     return walks
 
 
-def brute_force_necklace_count(X: Graph, n: int) -> int:
-    """Aperiodic closed walks of length n, counted up to rotation."""
+def brute_force_necklaces(X: Graph, n: int) -> list[tuple[str, ...]]:
+    """Aperiodic closed walks of length n up to rotation: the sorted least
+    rotations, found by building every rotation of every closed walk."""
     aperiodic = set()
     for walk in brute_force_closed_walks(X, n):
         rots = {walk[r:] + walk[:r] for r in range(n)}
         if len(rots) == n:
             aperiodic.add(min(rots))
-    return len(aperiodic)
+    return sorted(aperiodic)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,8 +1,10 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
-from gphom.cli import load_graph, run
+from gphom.cli import MAX_BUILTIN_SIZE, load_graph, run
 from gphom.errors import InvalidInput
 from gphom.graphs import (cross_graph, cycle_graph, graph_to_json,
                           morphism_to_json, identity, undirected_cycle)
@@ -130,6 +132,37 @@ def test_cofibrant_replace(capsys):
     data = json.loads(out)
     assert data["necklaces"] == {"1": "2", "2": "1"} or \
         data["necklaces"] == {"1": 2, "2": 1}
+
+
+def test_cofibrant_replace_output_pinned(capsys):
+    # sha256 of stdout; any change to a representative or its order shows
+    pins = {(): "b70fc674ca9a6854575fa45a047e2e4df7178bb296e5366bd25d78b6190fe727",
+            ("--json",): "c42b4a0f5c491cc41d54a54e83483e9b359a22a52f6392953ca064b18fc4e1e4"}
+    for flags, digest in pins.items():
+        code, out, _ = invoke(capsys, "cofibrant-replace", "cross", "--upto", "6",
+                              *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cofibrant_replace_deeper_than_recursion_limit(capsys):
+    N = sys.getrecursionlimit() + 100
+    code, out, _ = invoke(capsys, "cofibrant-replace", "cycle:1", "--upto", str(N))
+    assert code == 0
+    rows = out.splitlines()[1:N + 1]
+    assert rows == ["1\t1"] + [f"{n}\t0" for n in range(2, N + 1)]
+
+
+def test_oversized_builtin_exit_code(capsys, monkeypatch):
+    with pytest.raises(InvalidInput, match="exceeds the limit"):
+        load_graph(f"cycle:{MAX_BUILTIN_SIZE + 1}")
+    # the boundary and the exit code, at a small limit
+    monkeypatch.setattr("gphom.cli.MAX_BUILTIN_SIZE", 3)
+    for name in ("cycle", "path", "ucycle"):
+        assert len(load_graph(f"{name}:3").nodes) >= 3
+        code, out, err = invoke(capsys, "census", f"{name}:4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_explore_cli(capsys, tmp_path):

@@ -174,7 +174,7 @@ def test_classifiers_agree_with_graph_level():
             bound = max(len(S.elements), len(T.elements))
             assert is_nset_surjecting(f) == is_surjecting(g)
             assert is_nset_whiskering(f) == is_whiskering(g)
-            assert is_nset_acyclic(f, bound) == is_acyclic_bounded(g, bound)
+            assert is_nset_acyclic(f) == is_acyclic_bounded(g, bound)
             checked += 1
 
 

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from gphom.errors import BudgetExceeded, InternalInconsistency, InvalidGraph
+from gphom.errors import (BudgetExceeded, InternalInconsistency, InvalidGraph,
+                          InvalidInput)
 from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
                           arrow_graph, connected_components, coproduct,
                           cross_graph, cycle_graph, dot_graph,
@@ -11,15 +12,14 @@ from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
                           is_isomorphic, path_graph)
 from gphom.homotopy import enumerate_small_graphs
 from gphom.model import (GeneratorSet, LiftingProblem, aperiodic_necklaces,
-                         closed_walks, cofibrant_replacement, cycle_fold,
-                         cycle_projection, cycle_projection_via_pushout,
-                         factorize_bounded, find_lift, initial_to_cycle,
-                         is_acyclic_bounded, is_cofibrant, is_fibrant,
-                         is_surjecting, is_whiskering, morphism_key,
-                         source_inclusion)
+                         cofibrant_replacement, cycle_fold, cycle_projection,
+                         cycle_projection_via_pushout, factorize_bounded,
+                         find_lift, initial_to_cycle, is_acyclic_bounded,
+                         is_cofibrant, is_fibrant, is_surjecting,
+                         is_whiskering, morphism_key, source_inclusion)
 from gphom.witt import from_graph
 
-from conftest import (brute_force_acyclic_bounded, brute_force_closed_walks,
+from conftest import (brute_force_acyclic_bounded, brute_force_necklaces,
                       random_graph)
 
 
@@ -329,14 +329,6 @@ def test_factorization_soundness_random():
 # ---------------------------------------------------------------------------
 # Cycle resolution
 
-def test_closed_walks_match_brute_force(small_corpus):
-    rnd = random.Random(32)
-    for X in rnd.sample(small_corpus, 20):
-        for n in range(1, 5):
-            assert sorted(closed_walks(X, n)) == \
-                sorted(brute_force_closed_walks(X, n))
-
-
 def test_cofibrant_replacement_of_cycle_is_itself():
     for n in (1, 2, 4):
         res = cofibrant_replacement(cycle_graph(n), n + 2)
@@ -354,7 +346,7 @@ def test_cofibrant_replacement_of_acyclic_is_empty():
 def test_cofibrant_replacement_figure_eight():
     res = cofibrant_replacement(figure_eight(), 2)
     assert res.witt_summary == {1: 2, 2: 1}
-    assert len(res.pieces) == 3
+    assert len(connected_components(res.graph)) == 3
 
 
 def test_replacement_counit_properties():
@@ -370,6 +362,34 @@ def test_replacement_counit_properties():
         for n in range(1, N + 1):
             assert res.witt_summary[n] == S.witt(n)
         done += 1
+
+
+def test_aperiodic_necklaces_match_brute_force(small_corpus):
+    for X in small_corpus:
+        for n in range(1, 6):
+            assert aperiodic_necklaces(X, n) == brute_force_necklaces(X, n)
+
+
+def test_aperiodic_necklaces_order_arcs_by_id_string():
+    # ids "0".."10": "10" < "9" as strings but not as numbers
+    rnd = random.Random(34)
+    for _ in range(8):
+        k = rnd.randint(1, 3)
+        ends = [(str(rnd.randrange(k)), str(rnd.randrange(k))) for _ in range(9)]
+        ends += [ends[0], (ends[1][0], ends[1][0])]    # a parallel arc, a loop
+        ids = [str(i) for i in range(len(ends))]
+        rnd.shuffle(ids)
+        X = Graph(tuple(str(v) for v in range(k)),
+                  tuple(Arc(i, s, t) for i, (s, t) in zip(ids, ends)))
+        for n in range(1, 5):
+            assert aperiodic_necklaces(X, n) == brute_force_necklaces(X, n)
+
+
+def test_aperiodic_necklaces_budget_and_length():
+    with pytest.raises(BudgetExceeded):
+        aperiodic_necklaces(cross_graph(), 6, Budget(10))
+    with pytest.raises(InvalidInput):
+        aperiodic_necklaces(figure_eight(), 0)
 
 
 def test_aperiodic_necklace_representatives_are_least_rotations():
