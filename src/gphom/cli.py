@@ -63,16 +63,30 @@ def _load_json(path: str):
                            f"column {e.colno}") from e
 
 
-def _default_upto(*graphs: Graph) -> int:
-    return max(2 * max((len(G.nodes) for G in graphs), default=0), 1)
+def _upto(args, *graphs: Graph) -> int:
+    """--upto if given, else twice the largest node count (at least 1); a
+    negative bound is an input error."""
+    if args.upto is None:
+        return max(2 * max((len(G.nodes) for G in graphs), default=0), 1)
+    if args.upto < 0:
+        raise InvalidInput(f"--upto must be >= 0, got {args.upto}")
+    return args.upto
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: drop the rest, and point the descriptor
+        # at devnull so that the interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +108,7 @@ def cmd_charpoly(args) -> int:
 
 def cmd_zeta(args) -> int:
     X = load_graph(args.graph)
-    N = args.upto if args.upto is not None else _default_upto(X)
+    N = _upto(args, X)
     Z = spectral.zeta_series(X, N)
     lines = [f"denominator: {Z.denominator.format('u')}",
              "coefficients: " + ", ".join(str(c) for c in Z.coefficients)]
@@ -109,7 +123,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_census(args) -> int:
     X = load_graph(args.graph)
-    N = args.upto if args.upto is not None else _default_upto(X)
+    N = _upto(args, X)
     counts = spectral.closed_walk_counts(X, N)
     lines = [f"{n}\t{c}" for n, c in enumerate(counts, start=1)]
     _emit(args, {"counts": counts, "upto": N}, lines)
@@ -118,7 +132,7 @@ def cmd_census(args) -> int:
 
 def cmd_witt(args) -> int:
     X = load_graph(args.graph)
-    N = args.upto if args.upto is not None else _default_upto(X)
+    N = _upto(args, X)
     S = witt.from_graph(X)
     ghost = S.ghost_row(N)
     coords = S.witt_row(N)
@@ -130,8 +144,7 @@ def cmd_witt(args) -> int:
 
 def cmd_classify(args) -> int:
     f = morphism_from_json(_load_json(args.morphism))
-    N = args.upto if args.upto is not None else \
-        _default_upto(f.source, f.target)
+    N = _upto(args, f.source, f.target)
     budget = Budget(args.budget)
     flags = {
         "surjecting": model.is_surjecting(f),
@@ -161,7 +174,7 @@ def cmd_lift(args) -> int:
 
 def cmd_cofibrant_replace(args) -> int:
     X = load_graph(args.graph)
-    N = args.upto if args.upto is not None else _default_upto(X)
+    N = _upto(args, X)
     res = model.cofibrant_replacement(X, N, Budget(args.budget))
     lines = ["n\ts_n"]
     lines += [f"{n}\t{res.witt_summary[n]}" for n in sorted(res.witt_summary)]

@@ -365,8 +365,9 @@ def enumerate_morphisms(X: Graph, Y: Graph,
     """All graph morphisms X -> Y, in a deterministic order.
 
     Backtracks over arc assignments (arcs pin down node images via their
-    endpoints, which is what matters for multigraphs); nodes touched by no
-    arc are assigned freely at the end.
+    endpoints, which is what matters for multigraphs), drawing each arc's
+    candidates from the target arcs between its pinned endpoints' images;
+    nodes touched by no arc are assigned freely at the end.
     """
     budget = budget or Budget()
     src_arcs = X.arcs
@@ -388,17 +389,27 @@ def enumerate_morphisms(X: Graph, Y: Graph,
         else:
             results.append(GraphMorphism(X, Y, dict(node_map), dict(arc_map)))
 
+    between: dict[tuple[str, str], list[Arc]] = {}
+    for b in Y.arcs:
+        between.setdefault((b.src, b.tgt), []).append(b)
+
     def extend(i: int, node_map: dict[str, str], arc_map: dict[str, str]):
         if i == len(src_arcs):
             finish(node_map, arc_map)
             return
         a = src_arcs[i]
-        for b in Y.arcs:
+        # only arcs between the images of a's pinned endpoints can match
+        s, t = node_map.get(a.src), node_map.get(a.tgt)
+        if s is not None and t is not None:
+            cands = between.get((s, t), ())
+        elif s is not None:
+            cands = Y.out_arcs[s]
+        elif t is not None:
+            cands = Y.in_arcs[t]
+        else:
+            cands = Y.arcs
+        for b in cands:
             budget.spend()
-            if a.src in node_map and node_map[a.src] != b.src:
-                continue
-            if a.tgt in node_map and node_map[a.tgt] != b.tgt:
-                continue
             added = []
             consistent = True
             for v, w in ((a.src, b.src), (a.tgt, b.tgt)):
@@ -421,9 +432,32 @@ def enumerate_morphisms(X: Graph, Y: Graph,
     return results
 
 
+def _neighbours(G: Graph) -> dict[str, tuple[str, ...]]:
+    """Neighbours in the underlying undirected graph, loops left out, each
+    listed once in the order of the arcs: a dict keeps that order, so the
+    search below does not depend on string hashing."""
+    nbrs: dict[str, dict[str, None]] = {v: {} for v in G.nodes}
+    for a in G.arcs:
+        if a.src != a.tgt:
+            nbrs[a.src][a.tgt] = None
+            nbrs[a.tgt][a.src] = None
+    return {v: tuple(ns) for v, ns in nbrs.items()}
+
+
 def is_isomorphic(X: Graph, Y: Graph,
                   budget: Budget | None = None) -> tuple[bool, GraphMorphism | None]:
-    """Decide isomorphism by permutation search; returns a witness when true."""
+    """Decide isomorphism by a connectivity-anchored backtracking search;
+    returns a witness when true.
+
+    X's nodes are visited breadth first within each connected component, so
+    every node but the first of its component has an earlier neighbour, its
+    anchor, and may map only to a neighbour of the anchor's image (the
+    matching order of VF2, Cordella et al. 2004).  A candidate must agree
+    with the mapped nodes on arc counts; checking only v's mapped neighbours
+    suffices when w has as many mapped neighbours.  One budget step per
+    candidate tried; an explicit stack, so deep graphs cannot exhaust the
+    recursion limit.
+    """
     budget = budget or Budget()
     if len(X.nodes) != len(Y.nodes) or len(X.arcs) != len(Y.arcs):
         return False, None
@@ -441,38 +475,75 @@ def is_isomorphic(X: Graph, Y: Graph,
         return cnt
 
     cx, cy = arc_count(X), arc_count(Y)
-    xn = list(X.nodes)
+    nx, ny = _neighbours(X), _neighbours(Y)
 
-    def search(i: int, node_map: dict[str, str], used: set[str]):
-        if i == len(xn):
-            return dict(node_map)
-        v = xn[i]
-        for w in Y.nodes:
+    def local(G: Graph, cnt) -> dict[str, tuple[int, int, int]]:
+        # indegree, outdegree and loops: what a node's image must share
+        return {v: (len(G.in_arcs[v]), len(G.out_arcs[v]), cnt.get((v, v), 0))
+                for v in G.nodes}
+
+    lx, ly = local(X, cx), local(Y, cy)
+
+    order: list[str] = []
+    anchor: list[str | None] = []
+    placed: set[str] = set()
+    head = 0
+    for root in X.nodes:
+        if root in placed:
+            continue
+        placed.add(root)
+        order.append(root)
+        anchor.append(None)
+        while head < len(order):   # order doubles as the BFS queue
+            u = order[head]
+            head += 1
+            for t in nx[u]:
+                if t not in placed:
+                    placed.add(t)
+                    order.append(t)
+                    anchor.append(u)
+    # back[i]: v's neighbours mapped before it, with the arc counts v -> u
+    # and u -> v that their images must match
+    position = {v: i for i, v in enumerate(order)}
+    back = [[(u, cx.get((v, u), 0), cx.get((u, v), 0))
+             for u in nx[v] if position[u] < i]
+            for i, v in enumerate(order)]
+
+    node_map: dict[str, str] = {}
+    used: set[str] = set()
+
+    def candidates(i: int):
+        return iter(Y.nodes if anchor[i] is None else ny[node_map[anchor[i]]])
+
+    size = len(order)
+    stack = [candidates(0)] if size else []
+    while stack:
+        i = len(stack) - 1
+        v = order[i]
+        lv, bv = lx[v], back[i]
+        for w in stack[i]:
             budget.spend()
-            if w in used:
+            if w in used or ly[w] != lv:
                 continue
-            if (X.indegree(v), X.outdegree(v)) != (Y.indegree(w), Y.outdegree(w)):
+            if len(used.intersection(ny[w])) != len(bv):
                 continue
-            ok = True
-            for u, wu in node_map.items():
-                if cx.get((v, u), 0) != cy.get((w, wu), 0) or \
-                   cx.get((u, v), 0) != cy.get((wu, w), 0):
-                    ok = False
-                    break
-            if not ok or cx.get((v, v), 0) != cy.get((w, w), 0):
-                continue
-            node_map[v] = w
-            used.add(w)
-            found = search(i + 1, node_map, used)
-            if found is not None:
-                return found
-            del node_map[v]
-            used.remove(w)
-        return None
+            if all(cy.get((w, node_map[u]), 0) == out and
+                   cy.get((node_map[u], w), 0) == inc for u, out, inc in bv):
+                break
+        else:
+            stack.pop()
+            if stack:
+                used.remove(node_map.pop(order[i - 1]))
+            continue
+        node_map[v] = w
+        used.add(w)
+        if len(node_map) == size:
+            break
+        stack.append(candidates(i + 1))
 
-    node_map = search(0, {}, set())
-    if node_map is None:
+    if len(node_map) < size:
         return False, None
+    node_map = {v: node_map[v] for v in X.nodes}   # in X's node order
 
     # pair up parallel arcs deterministically per ordered node pair
     by_pair_y: dict[tuple[str, str], list[str]] = {}

@@ -120,8 +120,14 @@ def explore(node_budget: int, arc_budget: int,
     """Bucket a corpus of graphs by homotopy signature and flag buckets
     holding non-isomorphic members.
 
+    Within a bucket each member is tested for isomorphism against one
+    representative of every class found so far, so a bucket of m members
+    in c classes costs at most m * c searches, not m^2 / 2.  The flagged
+    pairs are those in different classes, in itertools.combinations order.
     With graphs=None the built-in family within the budgets is used.
     """
+    if node_budget < 0 or arc_budget < 0:
+        raise InvalidInput("exploration budgets must be >= 0")
     budget = budget or Budget()
     corpus = graphs if graphs is not None else builtin_family(node_budget, arc_budget)
     for name, G in corpus:
@@ -136,11 +142,21 @@ def explore(node_budget: int, arc_budget: int,
     out = []
     for key in sorted(buckets):
         members = buckets[key]
-        pairs = []
-        for (na, A), (nb, B) in itertools.combinations(members, 2):
-            iso, _ = is_isomorphic(A, B, budget)
-            if not iso:
-                pairs.append((na, nb))
+        # isomorphism is an equivalence: test each member against one
+        # representative per class found so far, sizes permitting
+        reps: list[Graph] = []
+        cls: list[int] = []
+        for _, G in members:
+            for c, R in enumerate(reps):
+                if (len(R.nodes) == len(G.nodes) and len(R.arcs) == len(G.arcs)
+                        and is_isomorphic(R, G, budget)[0]):
+                    cls.append(c)
+                    break
+            else:
+                cls.append(len(reps))
+                reps.append(G)
+        pairs = [(na, nb) for ((na, _), ca), ((nb, _), cb)
+                 in itertools.combinations(zip(members, cls), 2) if ca != cb]
         out.append(SignatureBucket(HomotopySignature(IntPolynomial(key)),
                                    tuple(members), tuple(pairs)))
     return out

@@ -20,6 +20,19 @@ def random_graph(rnd: random.Random, max_nodes: int, max_arcs: int) -> Graph:
     return Graph(nodes, arcs)
 
 
+def relabel(X: Graph, rnd: random.Random) -> Graph:
+    """An isomorphic copy: nodes and arcs renamed, both listed in a
+    shuffled order."""
+    nodes = list(X.nodes)
+    arcs = list(X.arcs)
+    rnd.shuffle(nodes)
+    rnd.shuffle(arcs)
+    node_names = {v: f"r{i}" for i, v in enumerate(nodes)}
+    return Graph(tuple(node_names[v] for v in nodes),
+                 tuple(Arc(f"ra{i}", node_names[a.src], node_names[a.tgt])
+                       for i, a in enumerate(arcs)))
+
+
 def brute_force_closed_walks(X: Graph, n: int):
     """Independent walk oracle: filter all arc n-tuples by adjacency."""
     walks = []
@@ -38,6 +51,67 @@ def brute_force_necklaces(X: Graph, n: int) -> list[tuple[str, ...]]:
         if len(rots) == n:
             aperiodic.add(min(rots))
     return sorted(aperiodic)
+
+
+def brute_force_isomorphic(X: Graph, Y: Graph) -> bool:
+    """Isomorphism oracle: try every unused node of Y for each node of X in
+    node order, pruned only by degrees and by arc counts against every
+    mapped node.  Exponential; for small graphs only."""
+    if len(X.nodes) != len(Y.nodes) or len(X.arcs) != len(Y.arcs):
+        return False
+
+    def arc_count(G: Graph):
+        cnt: dict[tuple[str, str], int] = {}
+        for a in G.arcs:
+            cnt[(a.src, a.tgt)] = cnt.get((a.src, a.tgt), 0) + 1
+        return cnt
+
+    cx, cy = arc_count(X), arc_count(Y)
+    xn = list(X.nodes)
+
+    def search(i: int, node_map: dict[str, str], used: set[str]) -> bool:
+        if i == len(xn):
+            return True
+        v = xn[i]
+        for w in Y.nodes:
+            if w in used:
+                continue
+            if (X.indegree(v), X.outdegree(v)) != (Y.indegree(w), Y.outdegree(w)):
+                continue
+            if any(cx.get((v, u), 0) != cy.get((w, wu), 0) or
+                   cx.get((u, v), 0) != cy.get((wu, w), 0)
+                   for u, wu in node_map.items()):
+                continue
+            if cx.get((v, v), 0) != cy.get((w, w), 0):
+                continue
+            node_map[v] = w
+            used.add(w)
+            if search(i + 1, node_map, used):
+                return True
+            del node_map[v]
+            used.remove(w)
+        return False
+
+    return search(0, {}, set())
+
+
+def brute_force_morphisms(X: Graph, Y: Graph):
+    """Every morphism X -> Y as (node_map, arc_map): each tuple of arc
+    images in lexicographic order, kept when the endpoints agree, then each
+    choice of images for the nodes touched by no arc."""
+    touched = {v for a in X.arcs for v in (a.src, a.tgt)}
+    free = [v for v in X.nodes if v not in touched]
+    found = []
+    for images in itertools.product(Y.arcs, repeat=len(X.arcs)):
+        node_map: dict[str, str] = {}
+        if all(node_map.setdefault(a.src, b.src) == b.src and
+               node_map.setdefault(a.tgt, b.tgt) == b.tgt
+               for a, b in zip(X.arcs, images)):
+            arc_map = {a.id: b.id for a, b in zip(X.arcs, images)}
+            for free_images in itertools.product(Y.nodes, repeat=len(free)):
+                found.append(({**node_map, **dict(zip(free, free_images))},
+                              arc_map))
+    return found
 
 
 @functools.lru_cache(maxsize=None)

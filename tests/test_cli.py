@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +184,15 @@ def test_explore_cli(capsys, tmp_path):
     assert found
 
 
+def test_explore_exhaustive_output_pinned(capsys):
+    # digest of the output when every pair in a bucket is tested
+    code, out, _ = invoke(capsys, "explore", "--exhaustive", "--json",
+                          "--nodes", "4", "--arcs", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "4e6a3a96da44e461d00c3302752917d506578699f1f07b4bf99f8abc8b94eb7f"
+
+
 def test_nset_zset_commands(capsys, tmp_path):
     path = tmp_path / "z3.json"
     path.write_text(json.dumps(
@@ -237,6 +249,35 @@ def test_bad_budget_exit_code(capsys, monkeypatch, env, flag, message):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "cross", "--upto", "-3"),
+    ("witt", "cross", "--upto", "-3"),
+    ("zeta", "cross", "--upto", "-1"),
+    ("cofibrant-replace", "cross", "--upto", "0"),
+    ("explore", "--nodes", "-1", "--arcs", "2"),
+    ("explore", "--nodes", "2", "--arcs", "-1"),
+])
+def test_bad_bound_exit_code(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_ends_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gphom.cli", "census", "cycle:1", "--upto",
+         "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    # far more output than a pipe buffers, so writing must meet the close
+    assert proc.stdout.readline() == b"1\t1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
 
 
 def test_budget_from_environment(capsys, monkeypatch, tmp_path):

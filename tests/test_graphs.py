@@ -1,6 +1,11 @@
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +20,11 @@ from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
                           is_isomorphic, morphism_from_json, morphism_to_json,
                           path_graph, product, pullback, pushout,
                           undirected_cycle)
+from gphom.homotopy import enumerate_small_graphs
 from gphom.spectral import closed_walk_counts, cycle_count
 
-from conftest import brute_force_closed_walks, random_graph
+from conftest import (brute_force_closed_walks, brute_force_isomorphic,
+                      brute_force_morphisms, random_graph, relabel)
 
 
 def test_cycle_graph_basic():
@@ -277,6 +284,14 @@ def test_enumerate_morphisms_no_duplicates():
         assert len(keys) == len(morphs)
 
 
+def test_enumerate_morphisms_matches_brute_force():
+    rnd = random.Random(11)
+    for _ in range(300):
+        X, Y = random_graph(rnd, 3, 4), random_graph(rnd, 3, 5)
+        found = [(f.node_map, f.arc_map) for f in enumerate_morphisms(X, Y)]
+        assert found == brute_force_morphisms(X, Y)
+
+
 def test_budget_guard_fires():
     X = cycle_graph(6)
     Y = undirected_cycle(6)
@@ -291,6 +306,107 @@ def test_is_isomorphic_examples():
     ok, w = is_isomorphic(cycle_graph(6),
                           product(cycle_graph(2), cycle_graph(3)))
     assert ok and w.is_node_bijective() and w.is_arc_bijective()
+
+
+def assert_isomorphism(w, X, Y):
+    assert (w.source, w.target) == (X, Y)
+    assert w.is_node_bijective() and w.is_arc_bijective()
+
+
+def test_is_isomorphic_matches_oracle_on_small_corpus():
+    by_size: dict[tuple[int, int], list[Graph]] = {}
+    for G in enumerate_small_graphs(3, 3):
+        by_size.setdefault((len(G.nodes), len(G.arcs)), []).append(G)
+    pairs = isomorphic = 0
+    for group in by_size.values():
+        for X, Y in itertools.combinations(group, 2):
+            ok, w = is_isomorphic(X, Y)
+            assert ok == brute_force_isomorphic(X, Y)
+            if ok:
+                assert_isomorphism(w, X, Y)
+                isomorphic += 1
+            pairs += 1
+    assert (pairs, isomorphic) == (14797, 512)
+
+
+def move_one_arc(X: Graph, rnd: random.Random) -> Graph:
+    arcs = list(X.arcs)
+    i = rnd.randrange(len(arcs))
+    arcs[i] = Arc(arcs[i].id, rnd.choice(X.nodes), rnd.choice(X.nodes))
+    return Graph(X.nodes, tuple(arcs))
+
+
+def relabelled_cases(seed: int, count: int):
+    """(X, Y) pairs on up to 7 nodes and 12 arcs: Y is a relabelled copy
+    of X, or that copy with one arc moved."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        X = random_graph(rnd, 7, 12)
+        Y = relabel(X, rnd)
+        yield X, Y
+        if X.arcs:
+            yield X, move_one_arc(Y, rnd)
+
+
+def test_is_isomorphic_matches_oracle_on_relabellings():
+    verdicts = Counter()
+    for X, Y in relabelled_cases(12, 1500):
+        ok, w = is_isomorphic(X, Y)
+        assert ok == brute_force_isomorphic(X, Y)
+        if ok:
+            assert_isomorphism(w, X, Y)
+        verdicts[ok] += 1
+    assert verdicts[True] > 1500 and verdicts[False] > 500
+
+
+def test_is_isomorphic_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(G: Graph):
+        H = nx.MultiDiGraph()
+        H.add_nodes_from(G.nodes)
+        H.add_edges_from((a.src, a.tgt) for a in G.arcs)
+        return H
+
+    for X, Y in relabelled_cases(13, 300):
+        assert is_isomorphic(X, Y)[0] == nx.is_isomorphic(to_nx(X), to_nx(Y))
+
+
+def test_is_isomorphic_disjoint_cycles_within_small_budget():
+    # a search in plain node order needs about 82 million steps here
+    X = relabel(undirected_cycle(20), random.Random(14))
+    Y = coproduct(undirected_cycle(10), undirected_cycle(10))
+    assert is_isomorphic(X, Y, Budget(10_000)) == (False, None)
+    assert is_isomorphic(Y, X, Budget(10_000)) == (False, None)
+
+
+def test_is_isomorphic_deeper_than_recursion_limit():
+    n = sys.getrecursionlimit() + 500
+    X = relabel(cycle_graph(n), random.Random(15))
+    ok, w = is_isomorphic(X, cycle_graph(n))
+    assert ok
+    assert_isomorphism(w, X, cycle_graph(n))
+
+
+def test_is_isomorphic_independent_of_hash_seed():
+    script = (
+        "import random\n"
+        "from conftest import relabel\n"
+        "from gphom.graphs import (Budget, coproduct, cross_graph,\n"
+        "                          is_isomorphic, undirected_cycle)\n"
+        "X = coproduct(cross_graph(), undirected_cycle(5))\n"
+        "Y = relabel(X, random.Random(16))\n"
+        "b = Budget()\n"
+        "ok, w = is_isomorphic(X, Y, b)\n"
+        "print(ok, b.used, sorted(w.node_map.items()), sorted(w.arc_map.items()))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join((str(src), str(Path(__file__).parent)))
+    outs = [subprocess.run([sys.executable, "-c", script], check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert outs[0].startswith("True ") and outs[0] == outs[1]
 
 
 def test_graph_json_round_trip():

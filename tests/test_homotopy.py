@@ -1,27 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from gphom.errors import InvalidInput
-from gphom.graphs import (Arc, Graph, coproduct, cross_graph, cycle_graph,
+from gphom.graphs import (Graph, coproduct, cross_graph, cycle_graph,
                           figure_eight, path_graph, undirected_cycle)
 from gphom.homotopy import (builtin_family, derived_components,
                             enumerate_small_graphs, explore,
                             hom_count_bounded, homotopy_equivalent, signature)
 from gphom.spectral import IntPolynomial
 
-from conftest import random_graph
-
-
-def relabel(X: Graph, rnd: random.Random) -> Graph:
-    nodes = list(X.nodes)
-    arcs = list(X.arcs)
-    rnd.shuffle(nodes)
-    rnd.shuffle(arcs)
-    node_names = {v: f"r{i}" for i, v in enumerate(nodes)}
-    return Graph(tuple(node_names[v] for v in nodes),
-                 tuple(Arc(f"ra{i}", node_names[a.src], node_names[a.tgt])
-                       for i, a in enumerate(arcs)))
+from conftest import brute_force_isomorphic, random_graph, relabel
 
 
 def test_cross_uc4_equivalent_not_isomorphic():
@@ -131,6 +121,18 @@ def test_explore_buckets_internally_consistent():
         members = list(b.members)
         for i in range(len(members) - 1):
             assert homotopy_equivalent(members[i][1], members[i + 1][1])
+
+
+def test_explore_flags_the_pairs_the_oracle_separates():
+    rnd = random.Random(39)
+    corpus = [(f"r{i}", random_graph(rnd, 4, 5)) for i in range(40)]
+    corpus += [(f"c{i}", relabel(rnd.choice(corpus)[1], rnd)) for i in range(20)]
+    corpus += [("cross", cross_graph()), ("uc4", undirected_cycle(4))]
+    rnd.shuffle(corpus)
+    for b in explore(5, 8, corpus):
+        assert list(b.nonisomorphic_pairs) == [
+            (na, nb) for (na, A), (nb, B) in itertools.combinations(b.members, 2)
+            if not brute_force_isomorphic(A, B)]
 
 
 def test_explore_rejects_oversized_corpus():
