@@ -393,24 +393,39 @@ def enumerate_morphisms(X: Graph, Y: Graph,
     for b in Y.arcs:
         between.setdefault((b.src, b.tgt), []).append(b)
 
-    def extend(i: int, node_map: dict[str, str], arc_map: dict[str, str]):
-        if i == len(src_arcs):
-            finish(node_map, arc_map)
-            return
-        a = src_arcs[i]
+    node_map: dict[str, str] = {}
+    arc_map: dict[str, str] = {}
+
+    def candidates(a: Arc):
         # only arcs between the images of a's pinned endpoints can match
         s, t = node_map.get(a.src), node_map.get(a.tgt)
         if s is not None and t is not None:
-            cands = between.get((s, t), ())
-        elif s is not None:
-            cands = Y.out_arcs[s]
-        elif t is not None:
-            cands = Y.in_arcs[t]
-        else:
-            cands = Y.arcs
+            return iter(between.get((s, t), ()))
+        if s is not None:
+            return iter(Y.out_arcs[s])
+        if t is not None:
+            return iter(Y.in_arcs[t])
+        return iter(Y.arcs)
+
+    if not X.nodes:
+        return [GraphMorphism(X, Y, {}, {})]
+    if not src_arcs:
+        finish(node_map, arc_map)
+        return results
+    # an explicit stack, so long sources cannot exhaust the recursion
+    # limit: level i holds arc i's candidates and the nodes its current
+    # image pinned
+    stack = [(candidates(src_arcs[0]), [])]
+    while stack:
+        i = len(stack) - 1
+        a = src_arcs[i]
+        cands, added = stack[i]
+        arc_map.pop(a.id, None)
         for b in cands:
+            for v in added:
+                del node_map[v]
+            added.clear()
             budget.spend()
-            added = []
             consistent = True
             for v, w in ((a.src, b.src), (a.tgt, b.tgt)):
                 if v not in node_map:
@@ -419,16 +434,18 @@ def enumerate_morphisms(X: Graph, Y: Graph,
                 elif node_map[v] != w:   # loop arc vs non-loop image
                     consistent = False
                     break
-            if consistent:
-                arc_map[a.id] = b.id
-                extend(i + 1, node_map, arc_map)
-                del arc_map[a.id]
+            if not consistent:
+                continue
+            arc_map[a.id] = b.id
+            if i + 1 < len(src_arcs):
+                stack.append((candidates(src_arcs[i + 1]), []))
+                break
+            finish(node_map, arc_map)
+            del arc_map[a.id]
+        else:
             for v in added:
                 del node_map[v]
-
-    if not X.nodes:
-        return [GraphMorphism(X, Y, {}, {})]
-    extend(0, {}, {})
+            stack.pop()
     return results
 
 

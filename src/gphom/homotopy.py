@@ -33,9 +33,17 @@ def signature(X: Graph) -> HomotopySignature:
     return HomotopySignature(reversed_char_poly(adjacency_matrix(X)))
 
 
-def homotopy_equivalent(X: Graph, Y: Graph) -> bool:
-    """Same reversed characteristic polynomial, cross-checked on walk counts."""
-    by_poly = signature(X) == signature(Y)
+def homotopy_equivalent(
+        X: Graph, Y: Graph,
+        signatures: tuple[HomotopySignature, HomotopySignature] | None = None,
+) -> bool:
+    """Same reversed characteristic polynomial, cross-checked on walk counts.
+
+    `signatures`, if given, are signature(X) and signature(Y), computed
+    earlier by the caller; the walk counts are computed here either way.
+    """
+    sig_x, sig_y = signatures or (signature(X), signature(Y))
+    by_poly = sig_x == sig_y
     bound = max(len(X.nodes), len(Y.nodes), 1)
     # looked up on the module, so a test can perturb this route alone
     by_counts = (spectral.closed_walk_counts(X, bound)

@@ -1,21 +1,31 @@
 """Exact integer linear algebra over the adjacency operator.
 
 Two primitives carry every invariant.  `char_poly` runs the division-free
-Berkowitz algorithm over sparse rows; det(I - uA), the zeta series (its
-inverse) and, through Newton's identities, the ghost components derive from
-it.  `closed_walk_counts` gives tr(A^n) for n = 1..N in one sweep over the
-arcs of each strongly connected component, independently of the
+Berkowitz algorithm; det(I - uA), the zeta series (its inverse) and,
+through Newton's identities, the ghost components derive from it.
+`closed_walk_counts` gives tr(A^n) for n = 1..N by pushing walk counts
+along the arcs of each strongly connected component, independently of the
 polynomial, so each route can check the other.
+
+Both advance many small vectors at once: the vectors' entries for one node
+sit in fixed-width bit fields of one Python int, so a single big-int
+addition does the per-vector arithmetic in C.  The entries are nonnegative
+and bounded, and the field widths follow from the bounds, so fields never
+carry into each other.  The two routes pack independently.
 No floating point anywhere: all coefficients are Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import and_, mul
 
 from .errors import IntegralityViolation, InvalidInput
 from .graphs import Graph
+
+_PACK_BITS = 1 << 24   # bit budget of one batch of packed vectors
+_DENSE_ROWS = 12       # blocks up to this size multiply whole rows, which
+                       # costs less there than indexing the nonzeros
 
 
 @dataclass(frozen=True)
@@ -29,7 +39,7 @@ class IntPolynomial:
         c = list(coeffs)
         while c and c[-1] == 0:
             c.pop()
-        return IntPolynomial(tuple(int(x) for x in c))
+        return IntPolynomial(tuple(map(int, c)))
 
     @property
     def degree(self) -> int:
@@ -80,58 +90,76 @@ def adjacency_matrix(X: Graph) -> list[list[int]]:
     return A
 
 
-def char_poly(A: list[list[int]]) -> IntPolynomial:
-    """det(xI - A) by the Berkowitz algorithm (division-free, exact).
+def _berkowitz(A: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - A), highest degree first, by the Berkowitz
+    algorithm (division-free, exact) with all bordering steps at once.
 
-    Step k borders the principal (k-1) block M with row R, column S and
+    Step k borders the principal k block M_k with row R_k, column S_k and
     corner a_kk, and multiplies the previous polynomial by the Toeplitz
-    column built from t = (a_kk, R S, R M S, ..., R M^(k-2) S).  M is held
-    as sparse rows that gain one column per step, so each product M v costs
-    the nonzeros of the block rather than (k-1)^2.
+    column built from t(k) = (a_kk, R_k S_k, R_k M_k S_k, ...,
+    R_k M_k^(k-1) S_k).  The int V[i] holds (M_k^j S_k)[i] in bit field k,
+    for every k > i, so one sweep U = A V, a big-int multiply-add per
+    nonzero entry, advances every step: t_(j+1)(k) is field k of U[k], and
+    V[i] is U[i] with the fields <= i cleared.  A field counts weighted
+    walks of length <= n from one row, so with r the largest row sum it is
+    at most r^n < 2^w.  That needs nonnegative entries: fields then never
+    borrow or carry into each other.  The steps go in batches that keep the
+    packed vector within _PACK_BITS bits.
     """
     n = len(A)
-    cols: list[list[int]] = []   # cols[i], vals[i]: nonzeros of row i of M
-    vals: list[list[int]] = []
-    # coefficients descending: [1] means the constant polynomial 1
+    if not n:
+        return [1]
+    if min(map(min, A)) < 0:
+        raise InvalidInput("char_poly needs a matrix of nonnegative integers")
+    w = (max(map(sum, A)) ** n or 1).bit_length()
+    mask = (1 << w) - 1
+    size = max(1, _PACK_BITS // (n * w))   # steps per batch
     coeffs = [1]
-    for k in range(1, n + 1):
-        m = k - 1
-        row = A[m]
-        r_cols = [j for j in range(m) if row[j]]
-        r_vals = [row[j] for j in r_cols]
-        vec = [A[i][m] for i in range(m)]
-        t = [row[m]]
-        if m:
-            t.append(sum(map(mul, r_vals, map(vec.__getitem__, r_cols))))
-            for _ in range(m - 1):
-                vec = [sum(map(mul, vs, map(vec.__getitem__, js)))
-                       for js, vs in zip(cols, vals)]
-                t.append(sum(map(mul, r_vals, map(vec.__getitem__, r_cols))))
-        # new[j] = prev[j] - sum_i t[i] * prev[j-1-i], degree k
-        rev = coeffs[::-1]
-        new = coeffs + [0]
-        for j in range(1, k + 1):
-            new[j] -= sum(map(mul, t, rev[k - j:]))
-        coeffs = new
-        # grow M to the principal k x k block: column m, then row m
-        for i in range(m):
-            if A[i][m]:
-                cols[i].append(m)
-                vals[i].append(A[i][m])
-        if row[m]:
-            r_cols.append(m)
-            r_vals.append(row[m])
-        cols.append(r_cols)
-        vals.append(r_vals)
-    return IntPolynomial.from_list(list(reversed(coeffs)))
+    for k0 in range(0, n, size):
+        k1 = min(n, k0 + size)
+        rows = A[:k1]
+        sparse = k1 > _DENSE_ROWS
+        if sparse:   # long rows: multiply their nonzero entries only
+            cols = [[j for j in range(k1) if row[j]] for row in rows]
+            rows = [(js, [row[j] for j in js]) for row, js in zip(rows, cols)]
+        fields = range(0, (k1 - k0) * w, w)
+        units = [1 << f for f in fields]
+        keep = [-1] * k0 + [-u << w for u in units]   # clears the fields <= i
+        diag = [0] * k0 + [mask * u for u in units]   # field i of row i
+        # sweeping unit vectors gives t_0(k) = a_kk and V[i] = S_k[i]
+        V = [0] * k0 + units
+        D = []   # D[j]: t_j(k) in field k, for every k
+        for j in range(k1):
+            if j == k1 - 1:   # the last sweep is for t_j(k1 - 1) only
+                rows, diag = rows[-1:], diag[-1:]
+            if sparse:
+                U = [sum(map(mul, vs, map(V.__getitem__, js)))
+                     for js, vs in rows]
+            else:
+                U = [sum(map(mul, row, V)) for row in rows]
+            D.append(sum(map(and_, U, diag)))
+            V = list(map(and_, U, keep))
+        for k, f in enumerate(fields, start=k0 + 1):
+            t = [d >> f & mask for d in D]
+            # new[j] = prev[j] - sum_i t[i] * prev[j-1-i], degree k
+            rev = coeffs[::-1]
+            new = coeffs + [0]
+            for j in range(1, k + 1):
+                new[j] -= sum(map(mul, t, rev[k - j:]))
+            coeffs = new
+    return coeffs
+
+
+def char_poly(A: list[list[int]]) -> IntPolynomial:
+    """det(xI - A) for a square matrix A of nonnegative integers, such as
+    adjacency_matrix(X); a negative entry raises InvalidInput."""
+    return IntPolynomial.from_list(reversed(_berkowitz(A)))
 
 
 def reversed_char_poly(A: list[list[int]]) -> IntPolynomial:
-    """det(I - uA) = u^n * a(1/u), trailing zeros dropped."""
-    n = len(A)
-    a = char_poly(A)
-    # coefficient of u^k in u^n a(1/u) is the coefficient of x^{n-k} in a(x)
-    return IntPolynomial.from_list([a[n - k] for k in range(n + 1)])
+    """det(I - uA) = u^n * det((1/u)I - A), trailing zeros dropped: the
+    coefficients of det(xI - A) read from the highest degree down."""
+    return IntPolynomial.from_list(_berkowitz(A))
 
 
 def _strong_components(succ: list[list[int]]) -> list[list[int]]:
@@ -187,11 +215,18 @@ def closed_walk_counts(X: Graph, upto: int) -> list[int]:
     A closed walk never leaves the strongly connected component it starts
     in, so tr(A^n) is the sum of the traces of the components' blocks, and
     nodes on no cycle contribute nothing.  Within a component, walk counts
-    from each start node are pushed along its arcs once per length:
-    O(sum over components of k_C * upto * (k_C + arcs_C)) integer
-    additions, and no use of the characteristic polynomial.  Empty when
-    upto < 1.
+    from all start nodes are pushed along its arcs together, once per
+    length: start node s owns bit field s of every node's int, so one step
+    is one big-int addition per arc, and c_n gains field j of node j for
+    every j.  A count of walks of length n is at most d^n for d the
+    largest indegree in the component, so with k nodes, fields of w bits
+    with k * d^upto < 2^w never carry into each other, and the sum of the
+    diagonal fields fits in one field too.  Start nodes go in batches
+    that keep the packed vector within _PACK_BITS bits.  No use of the
+    characteristic polynomial.  Empty when upto < 1.
     """
+    if upto < 1:
+        return []
     idx = X.node_index
     succ: list[list[int]] = [[] for _ in X.nodes]
     for a in X.arcs:
@@ -210,16 +245,32 @@ def closed_walk_counts(X: Graph, upto: int) -> list[int]:
         for w in ws:
             if comp_of[v] == comp_of[w]:
                 preds[comp_of[w]][pos[w]].append(pos[v])
-    counts = [0] * max(upto, 0)
+    counts = [0] * upto
     for block in preds:
         if not any(block):   # a single node without a loop
             continue
-        for s in range(len(block)):
-            vec = [0] * len(block)
-            vec[s] = 1
+        k = len(block)
+        w = (k * max(map(len, block)) ** upto).bit_length()
+        size = max(1, _PACK_BITS // (k * w))
+        for s0 in range(0, k, size):
+            # start node s owns field s - s0 of every node's int
+            fields = range(0, min(size, k - s0) * w, w)
+            vec = [0] * k
+            vec[s0:s0 + len(fields)] = [1 << f for f in fields]
+            diag = [0] * s0 + [((1 << w) - 1) << f for f in fields]
+            # the diagonal fields, gathered in one int, are summed by
+            # adding its upper half to its lower half until one is left
+            folds = []
+            m = len(fields)
+            while m > 1:
+                m -= m // 2
+                folds.append((m * w, (1 << m * w) - 1))
             for n in range(upto):
                 vec = [sum(map(vec.__getitem__, p)) for p in block]
-                counts[n] += vec[s]
+                d = sum(map(and_, vec, diag))
+                for h, low in folds:
+                    d = (d >> h) + (d & low)
+                counts[n] += d
     return counts
 
 

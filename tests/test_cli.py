@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from gphom import spectral
 from gphom.cli import MAX_BUILTIN_SIZE, load_graph, run
 from gphom.errors import InvalidInput
 from gphom.graphs import (cross_graph, cycle_graph, graph_to_json,
@@ -47,6 +48,32 @@ def test_homotopy_eq_negative_exit_code(capsys):
     code, out, _ = invoke(capsys, "homotopy-eq", "cycle:2", "cycle:3")
     assert code == 1
     assert "NOT-HOMOTOPY-EQUIVALENT" in out
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record the first argument of every call to module.name."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_polynomials_computed_once_per_graph(capsys, monkeypatch):
+    berkowitz = count_calls(monkeypatch, spectral, "_berkowitz")
+    code, out, _ = invoke(capsys, "charpoly", "cross", "--json")
+    assert code == 0 and len(berkowitz) == 1
+    assert json.loads(out)["reversed"] == [1, 0, -4]
+    berkowitz.clear()
+    walks = count_calls(monkeypatch, spectral, "closed_walk_counts")
+    code, out, _ = invoke(capsys, "homotopy-eq", "cross", "uc4")
+    assert code == 0 and out.count("1 - 4*u^2") == 2
+    assert len(berkowitz) == 2
+    # the walk-count cross-check still runs, once per graph
+    assert [len(X.nodes) for X in walks] == [5, 4]
 
 
 def test_census_cross(capsys):
@@ -144,6 +171,18 @@ def test_cofibrant_replace_output_pinned(capsys):
     for flags, digest in pins.items():
         code, out, _ = invoke(capsys, "cofibrant-replace", "cross", "--upto", "6",
                               *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_large_graph_output_pinned(capsys):
+    # sha256 of stdout, as computed by the unpacked kernels
+    pins = {("charpoly", "cycle:300"):
+            "bc0ea14cb5bd47c69ba76683d9070de0304bab686253c76f1f001666d1dd4ecb",
+            ("census", "cycle:200"):
+            "2325f3c97dfbb552eb12cecff4570d73bc9f8d180be874ac1e47f4b31d9bd9f8"}
+    for argv, digest in pins.items():
+        code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

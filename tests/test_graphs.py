@@ -292,6 +292,30 @@ def test_enumerate_morphisms_matches_brute_force():
         assert found == brute_force_morphisms(X, Y)
 
 
+def test_enumerate_morphisms_budget_pinned():
+    # one budget step per candidate arc tried, as the recursive search spent
+    rnd = random.Random(11)
+    used = 0
+    for _ in range(100):
+        X, Y = random_graph(rnd, 3, 4), random_graph(rnd, 3, 5)
+        budget = Budget(10**6)
+        enumerate_morphisms(X, Y, budget)
+        used += budget.used
+    assert used == 1414
+    budget = Budget(10**6)
+    assert len(enumerate_morphisms(cycle_graph(6), undirected_cycle(6), budget)) == 132
+    assert budget.used == 504
+
+
+def test_enumerate_morphisms_deeper_than_recursion_limit():
+    n = sys.getrecursionlimit() + 500
+    (f,) = enumerate_morphisms(cycle_graph(n), cycle_graph(1))
+    assert set(f.node_map.values()) == {"0"}
+    # 2^n morphisms to the figure-eight: the budget runs out past the first
+    with pytest.raises(BudgetExceeded):
+        enumerate_morphisms(cycle_graph(n), figure_eight(), Budget(n + 5))
+
+
 def test_budget_guard_fires():
     X = cycle_graph(6)
     Y = undirected_cycle(6)

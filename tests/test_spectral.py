@@ -1,11 +1,14 @@
 import random
+import tracemalloc
+from math import comb
 
 import pytest
 
 from gphom import spectral
 from gphom.errors import IntegralityViolation, InternalInconsistency, InvalidInput
-from gphom.graphs import Arc, Graph, coproduct, cycle_graph, cross_graph, \
-    figure_eight, path_graph, product, undirected_cycle, enumerate_morphisms
+from gphom.graphs import Arc, EMPTY, Graph, coproduct, cycle_graph, \
+    cross_graph, dot_graph, figure_eight, path_graph, product, \
+    undirected_cycle, enumerate_morphisms
 from gphom.homotopy import homotopy_equivalent
 from gphom.spectral import (IntPolynomial, adjacency_matrix, char_poly,
                             closed_walk_counts, cycle_count, expand_log_exp,
@@ -281,3 +284,134 @@ def test_polynomial_format():
     assert IntPolynomial((0, 1)).format("x") == "x"
     assert IntPolynomial((-1, 0, 0, 1)).format("x") == "-1 + x^3"
     assert IntPolynomial((1,)).format("x") == "1"
+
+
+# ---------------------------------------------------------------------------
+# The packed kernels: bit fields at their widths, batches at every boundary
+
+def graph_of(n: int, pairs) -> Graph:
+    return Graph(tuple(str(i) for i in range(n)),
+                 tuple(Arc(f"a{i}", str(u), str(v))
+                       for i, (u, v) in enumerate(pairs)))
+
+
+def loop_node_graph(loops: int) -> Graph:
+    """Node 1 carries `loops` parallel loops and lies on a 3-cycle with nodes
+    0 and 2; a pendant path 3 -> 4 -> 0 feeds in."""
+    return graph_of(5, [(1, 1)] * loops
+                    + [(0, 1), (1, 2), (2, 0), (3, 4), (4, 0)])
+
+
+def complete_multigraph(k: int, m: int) -> Graph:
+    """m arcs from every node to every node, loops included: every row sum
+    and indegree is k*m, so the walks of length n from a node number
+    exactly (k*m)^n, the bound the field widths are sized by."""
+    return graph_of(k, [(u, v) for u in range(k) for v in range(k)] * m)
+
+
+def scrambled_components() -> Graph:
+    """Several strongly connected components whose nodes are listed out of
+    order and interleaved, a long chain ending on a loop node, a loopless
+    node, and parallel arcs."""
+    pairs = [(7, 2), (2, 11), (11, 7), (11, 2),        # {2, 7, 11}
+             (9, 4), (4, 9), (9, 9),                   # {4, 9}, with a loop
+             (0, 0), (0, 0), (0, 0),                   # {0}, three loops
+             (5, 1), (1, 3), (3, 10), (10, 6), (6, 8), (8, 0),   # chain into 0
+             (2, 4), (4, 12)]                          # 12 is loopless
+    return graph_of(13, pairs)
+
+
+def edge_graphs() -> list[Graph]:
+    graphs = [EMPTY, dot_graph(), scrambled_components(),
+              coproduct(path_graph(12), loop_node_graph(1)),
+              complete_multigraph(2, 1), complete_multigraph(3, 2),
+              complete_multigraph(4, 3)]
+    for b in (1, 2, 3, 7, 8):
+        graphs += [loop_node_graph(2 ** b - 1), loop_node_graph(2 ** b)]
+    return graphs
+
+
+def test_packed_char_poly_at_field_width_edges():
+    for X in edge_graphs():
+        A = adjacency_matrix(X)
+        a = dense_char_poly(A)
+        assert char_poly(A) == a
+        n = len(A)
+        rev = [a[n - k] for k in range(n + 1)]
+        while rev and rev[-1] == 0:
+            rev.pop()
+        assert list(reversed_char_poly(A).coefficients) == rev
+
+
+def test_packed_char_poly_matches_sympy_at_edges():
+    sympy = pytest.importorskip("sympy")
+    for X in edge_graphs()[1:]:
+        A = adjacency_matrix(X)
+        k = len(A)
+        expected = sympy.Matrix(k, k, [x for row in A for x in row]).charpoly()
+        assert list(char_poly(A).coefficients) == \
+            [int(c) for c in reversed(expected.all_coeffs())]
+
+
+def test_packed_census_at_field_width_edges():
+    for X in edge_graphs():
+        N = 10
+        assert closed_walk_counts(X, N) == \
+            [dense_cycle_count(X, n) for n in range(1, N + 1)]
+    # one node with d loops: c_n = d^n, the full width of a field
+    for d in (1, 2 ** 5 - 1, 2 ** 5, 2 ** 12 - 1, 2 ** 12):
+        assert closed_walk_counts(graph_of(1, [(0, 0)] * d), 9) == \
+            [d ** n for n in range(1, 10)]
+    # a complete multigraph of k nodes and m-fold arcs: c_n = (k*m)^n
+    for k, m in ((2, 1), (3, 2), (5, 1)):
+        assert closed_walk_counts(complete_multigraph(k, m), 12) == \
+            [(k * m) ** n for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("bits", [1, 40, 300, 3000])
+def test_packed_kernels_at_every_batch_boundary(monkeypatch, bits):
+    """A bit budget of one bit packs one field per batch; the others split
+    the steps and start nodes at assorted boundaries."""
+    rnd = random.Random(bits)
+    graphs = edge_graphs() + [multigraph(rnd, k) for k in (5, 9, 14)] + \
+        [layered_multigraph(rnd, 11)]
+    expected = [(char_poly(adjacency_matrix(X)), closed_walk_counts(X, 9))
+                for X in graphs]
+    monkeypatch.setattr(spectral, "_PACK_BITS", bits)
+    for X, (poly, counts) in zip(graphs, expected):
+        A = adjacency_matrix(X)
+        assert char_poly(A) == poly == dense_char_poly(A)
+        assert closed_walk_counts(X, 9) == counts
+
+
+def test_census_memory_stays_within_bit_budget(monkeypatch):
+    # unbatched, the packed state of ucycle:100 at upto 60 is 100 * 100
+    # fields of 67 bits (84 kB); an 8 kB budget cuts it into batches
+    X, N, bits = undirected_cycle(100), 60, 1 << 16
+
+    def peak() -> tuple[list[int], int]:
+        tracemalloc.start()
+        try:
+            counts = closed_walk_counts(X, N)
+            return counts, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    counts, unbatched = peak()
+    monkeypatch.setattr(spectral, "_PACK_BITS", bits)
+    batched_counts, batched = peak()
+    # below the length of the cycle, a closed walk steps back and forth
+    assert batched_counts == counts == \
+        [0 if n % 2 else 100 * comb(n, n // 2) for n in range(1, N + 1)]
+    # the live state: old and new vectors of at most `bits` each, plus
+    # the diagonal masks and the ints' object headers
+    assert batched < 4 * bits // 8 + 256 * len(X.nodes)
+    assert 4 * batched < unbatched
+
+
+def test_char_poly_rejects_negative_entries():
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        char_poly([[0, -1], [1, 0]])
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        reversed_char_poly([[1, 0], [0, -2]])
+    assert char_poly([[0, 0], [0, 0]]).coefficients == (0, 0, 1)
