@@ -360,93 +360,105 @@ class Budget:
             raise BudgetExceeded(f"search budget of {self.limit} exceeded")
 
 
-def enumerate_morphisms(X: Graph, Y: Graph,
-                        budget: Budget | None = None) -> list[GraphMorphism]:
-    """All graph morphisms X -> Y, in a deterministic order.
+def _morphisms_over(X: Graph, Y: Graph, over_x, over_y,
+                    node_map: dict[str, str], arc_map: dict[str, str],
+                    budget: Budget):
+    """Every morphism h: X -> Y that extends node_map and arc_map and
+    commutes with maps into a base B, in a deterministic order.
 
-    Backtracks over arc assignments (arcs pin down node images via their
-    endpoints, which is what matters for multigraphs), drawing each arc's
-    candidates from the target arcs between its pinned endpoints' images;
-    nodes touched by no arc are assigned freely at the end.
+    over_x and over_y are (node labels, arc labels): dicts giving each node
+    and arc of X and of Y its image in B, so h may send a node or an arc
+    only into the fibre of its label.  The partial maps must already be a
+    morphism where they are defined, keeping labels and pinning every
+    endpoint of an assigned arc.
+
+    The other arcs are assigned in X's order (arcs pin down node images via
+    their endpoints, which is what matters for multigraphs), each drawn from
+    the arcs of its fibre between its pinned endpoints' images, one budget
+    step per candidate tried.  Nodes touched by no arc and not pinned then
+    take every combination of images in their fibres, one step per
+    combination.  An explicit stack, so long sources cannot exhaust the
+    recursion limit.
     """
-    budget = budget or Budget()
-    src_arcs = X.arcs
-    results: list[GraphMorphism] = []
-
-    touched = set()
-    for a in src_arcs:
-        touched.add(a.src)
-        touched.add(a.tgt)
-    free_nodes = [v for v in X.nodes if v not in touched]
-
-    def finish(node_map: dict[str, str], arc_map: dict[str, str]):
-        if free_nodes:
-            for images in itertools.product(Y.nodes, repeat=len(free_nodes)):
-                budget.spend()
-                nm = dict(node_map)
-                nm.update(zip(free_nodes, images))
-                results.append(GraphMorphism(X, Y, nm, dict(arc_map)))
-        else:
-            results.append(GraphMorphism(X, Y, dict(node_map), dict(arc_map)))
-
-    between: dict[tuple[str, str], list[Arc]] = {}
+    x_node_label, x_arc_label = over_x
+    y_node_label, y_arc_label = over_y
+    node_map, arc_map = dict(node_map), dict(arc_map)
+    todo = [a for a in X.arcs if a.id not in arc_map]
+    # which endpoints are pinned when an arc's turn comes does not depend on
+    # the images chosen before it: fresh[i] holds the nodes arc i pins, and
+    # kinds the (src pinned, tgt pinned) cases that candidates() looks up
+    pinned = set(node_map)
+    fresh: list[list[str]] = []
+    kinds = set()
+    for a in todo:
+        kinds.add((a.src in pinned, a.tgt in pinned))
+        fresh.append([v for v in (a.src, a.tgt) if v not in pinned])
+        pinned.update((a.src, a.tgt))
+    # index[(label, s, t)]: Y's arcs with that label from s to t, in Y's
+    # order; s or t is None for an endpoint not pinned, as node_map.get gives
+    index: dict[tuple, list[Arc]] = {}
     for b in Y.arcs:
-        between.setdefault((b.src, b.tgt), []).append(b)
-
-    node_map: dict[str, str] = {}
-    arc_map: dict[str, str] = {}
+        label = y_arc_label[b.id]
+        for s, t in kinds:
+            index.setdefault((label, b.src if s else None, b.tgt if t else None),
+                             []).append(b)
+    free = [v for v in X.nodes if v not in pinned]
+    fibre: dict[str, list[str]] = {}
+    if free:
+        for w in Y.nodes:
+            fibre.setdefault(y_node_label[w], []).append(w)
+    free_fibres = [fibre.get(x_node_label[v], ()) for v in free]
 
     def candidates(a: Arc):
-        # only arcs between the images of a's pinned endpoints can match
-        s, t = node_map.get(a.src), node_map.get(a.tgt)
-        if s is not None and t is not None:
-            return iter(between.get((s, t), ()))
-        if s is not None:
-            return iter(Y.out_arcs[s])
-        if t is not None:
-            return iter(Y.in_arcs[t])
-        return iter(Y.arcs)
+        return iter(index.get((x_arc_label[a.id], node_map.get(a.src),
+                               node_map.get(a.tgt)), ()))
 
-    if not X.nodes:
-        return [GraphMorphism(X, Y, {}, {})]
-    if not src_arcs:
-        finish(node_map, arc_map)
-        return results
-    # an explicit stack, so long sources cannot exhaust the recursion
-    # limit: level i holds arc i's candidates and the nodes its current
-    # image pinned
-    stack = [(candidates(src_arcs[0]), [])]
+    def extensions():
+        if not free:
+            yield GraphMorphism(X, Y, dict(node_map), dict(arc_map))
+            return
+        for images in itertools.product(*free_fibres):
+            budget.spend()
+            nm = dict(node_map)
+            nm.update(zip(free, images))
+            yield GraphMorphism(X, Y, nm, dict(arc_map))
+
+    if not todo:
+        yield from extensions()
+        return
+    # level i of the stack holds the candidates of todo[i]
+    stack = [candidates(todo[0])]
     while stack:
         i = len(stack) - 1
-        a = src_arcs[i]
-        cands, added = stack[i]
-        arc_map.pop(a.id, None)
-        for b in cands:
-            for v in added:
-                del node_map[v]
-            added.clear()
+        a = todo[i]
+        for b in stack[i]:
             budget.spend()
-            consistent = True
-            for v, w in ((a.src, b.src), (a.tgt, b.tgt)):
-                if v not in node_map:
-                    node_map[v] = w
-                    added.append(v)
-                elif node_map[v] != w:   # loop arc vs non-loop image
-                    consistent = False
-                    break
-            if not consistent:
-                continue
+            if a.src == a.tgt and b.src != b.tgt:
+                continue   # the index key made every other endpoint agree
+            node_map[a.src] = b.src
+            node_map[a.tgt] = b.tgt
             arc_map[a.id] = b.id
-            if i + 1 < len(src_arcs):
-                stack.append((candidates(src_arcs[i + 1]), []))
+            if i + 1 < len(todo):
+                stack.append(candidates(todo[i + 1]))
                 break
-            finish(node_map, arc_map)
-            del arc_map[a.id]
+            yield from extensions()
         else:
-            for v in added:
-                del node_map[v]
+            # unpin, so that candidates() sees only the levels below
+            for v in fresh[i]:
+                node_map.pop(v, None)
             stack.pop()
-    return results
+
+
+def enumerate_morphisms(X: Graph, Y: Graph,
+                        budget: Budget | None = None) -> list[GraphMorphism]:
+    """All graph morphisms X -> Y, in a deterministic order: the morphisms
+    over the terminal graph, found by the search that also serves
+    model.find_lift."""
+    node_label = dict.fromkeys(X.nodes + Y.nodes, "0")
+    arc_label = dict.fromkeys([a.id for a in X.arcs + Y.arcs], "0")
+    return list(_morphisms_over(X, Y, (node_label, arc_label),
+                                (node_label, arc_label), {}, {},
+                                budget or Budget()))
 
 
 def _neighbours(G: Graph) -> dict[str, tuple[str, ...]]:

@@ -4,7 +4,9 @@ cycle resolution.
 The three morphism classes: Surjecting (fibrations), Whiskering (acyclic
 cofibrations, i.e. tree attachments), and Acyclic (weak equivalences,
 decided exactly up to a bound on cycle length by counting closed walks in
-the pullback X x_Y X).  The cycle resolution of a finite graph is a
+the pullback X x_Y X).  A lifting problem is solved as a search for
+morphisms over the base of its right leg, the search that also serves
+graphs.enumerate_morphisms.  The cycle resolution of a finite graph is a
 disjoint union of cycles, one per aperiodic necklace of closed walks, with
 a counit morphism back to the graph.  The necklaces are generated directly
 as the closed walks that are Lyndon words over the arcs ordered by id.
@@ -16,9 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidGraph, InvalidInput
-from .graphs import (Arc, Budget, Graph, GraphMorphism, arrow_graph,
-                     coproduct_with_injections, cycle_graph, dot_graph,
-                     identity, pullback, pushout, EMPTY)
+from .graphs import (Arc, Budget, Graph, GraphMorphism, _morphisms_over,
+                     arrow_graph, coproduct_with_injections, cycle_graph,
+                     dot_graph, pullback, pushout, EMPTY)
 from .spectral import closed_walk_counts
 from .witt import from_graph
 
@@ -214,92 +216,26 @@ def find_lift(p: LiftingProblem,
               budget: Budget | None = None) -> GraphMorphism | None:
     """A diagonal h: Y -> A with h.l == f and r.h == g, or None.
 
-    Assignments forced by the left leg are filled in first; remaining arcs
-    and nodes of Y are backtracked over, each constrained through r and g.
+    h is fixed by f on the image of l; the rest of Y is searched as a
+    morphism over B, with r and g as labels, by the search that also serves
+    enumerate_morphisms.  The first lift in its order is returned.
     """
-    budget = budget or Budget()
     l, r, f, g = p.left, p.right, p.top, p.bottom
-    Y, A = l.target, r.source
-
     node_map: dict[str, str] = {}
     arc_map: dict[str, str] = {}
     for x in l.source.nodes:
         y, a = l.node_map[x], f.node_map[x]
-        if node_map.get(y, a) != a:
+        if node_map.setdefault(y, a) != a:
             return None
-        node_map[y] = a
     for e in l.source.arcs:
         y, a = l.arc_map[e.id], f.arc_map[e.id]
-        if arc_map.get(y, a) != a:
+        if arc_map.setdefault(y, a) != a:
             return None
-        arc_map[y] = a
-    # forced assignments must already satisfy r.h == g
-    for y, a in node_map.items():
-        if r.node_map[a] != g.node_map[y]:
-            return None
-    for y, a in arc_map.items():
-        if r.arc_map[a] != g.arc_map[y]:
-            return None
-        img = A.arc_by_id[a]
-        for v, w in ((Y.arc_by_id[y].src, img.src), (Y.arc_by_id[y].tgt, img.tgt)):
-            if node_map.get(v, w) != w:
-                return None
-            node_map[v] = w
-
-    free_arcs = [b for b in Y.arcs if b.id not in arc_map]
-    touched = {b.src for b in Y.arcs} | {b.tgt for b in Y.arcs} | set(node_map)
-    free_nodes = [v for v in Y.nodes if v not in touched]
-
-    def assign_free_nodes(nm: dict[str, str]):
-        def rec(i: int):
-            if i == len(free_nodes):
-                return GraphMorphism(Y, A, dict(nm), dict(arc_map))
-            v = free_nodes[i]
-            for w in A.nodes:
-                budget.spend()
-                if r.node_map[w] != g.node_map[v]:
-                    continue
-                nm[v] = w
-                h = rec(i + 1)
-                if h is not None:
-                    return h
-                del nm[v]
-            return None
-        return rec(0)
-
-    def extend(i: int):
-        if i == len(free_arcs):
-            return assign_free_nodes(node_map)
-        b = free_arcs[i]
-        for c in A.arcs:
-            budget.spend()
-            if r.arc_map[c.id] != g.arc_map[b.id]:
-                continue
-            if node_map.get(b.src, c.src) != c.src:
-                continue
-            if node_map.get(b.tgt, c.tgt) != c.tgt:
-                continue
-            added = []
-            for v, w in ((b.src, c.src), (b.tgt, c.tgt)):
-                if v in node_map:
-                    if node_map[v] != w:
-                        break
-                elif r.node_map[w] != g.node_map[v]:
-                    break
-                else:
-                    node_map[v] = w
-                    added.append(v)
-            else:
-                arc_map[b.id] = c.id
-                h = extend(i + 1)
-                if h is not None:
-                    return h
-                del arc_map[b.id]
-            for v in added:
-                del node_map[v]
-        return None
-
-    return extend(0)
+    # the square commutes and f is a morphism, so this part already has
+    # r.h == g and pins the endpoints of its arcs as f does
+    return next(_morphisms_over(l.target, r.source, (g.node_map, g.arc_map),
+                                (r.node_map, r.arc_map), node_map, arc_map,
+                                budget or Budget()), None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import pytest
 from gphom import spectral
 from gphom.cli import MAX_BUILTIN_SIZE, load_graph, run
 from gphom.errors import InvalidInput
-from gphom.graphs import (cross_graph, cycle_graph, graph_to_json,
-                          morphism_to_json, identity, undirected_cycle)
-from gphom.model import cycle_fold, source_inclusion
+from gphom.graphs import (Arc, EMPTY, Graph, GraphMorphism, cross_graph,
+                          cycle_graph, graph_to_json, morphism_to_json,
+                          identity, undirected_cycle)
+from gphom.model import (cycle_fold, cycle_projection, initial_to_cycle,
+                         source_inclusion)
 
 
 def invoke(capsys, *argv):
@@ -123,6 +125,16 @@ def test_classify(capsys, tmp_path):
     assert flags["surjecting"] is False
 
 
+def write_morphisms(directory, **legs) -> dict[str, str]:
+    """Write each morphism to <name>.json; returns the paths by name."""
+    files = {}
+    for name, f in legs.items():
+        p = directory / f"{name}.json"
+        p.write_text(json.dumps(morphism_to_json(f)))
+        files[name] = str(p)
+    return files
+
+
 def test_lift_no_lift(capsys, tmp_path):
     from gphom.graphs import EMPTY, GraphMorphism
     from gphom.model import cycle_projection, initial_to_cycle
@@ -141,6 +153,24 @@ def test_lift_no_lift(capsys, tmp_path):
                           files["top"], files["bottom"])
     assert code == 1
     assert "NO-LIFT" in out
+
+
+def test_lift_deeper_than_recursion_limit(capsys, tmp_path):
+    # i_n: 0 -> C_n against C_n -> C_1, ids zero-padded so that the JSON's
+    # sorted arc order is the cycle's order
+    n = 1500
+    ids = [f"{i:04d}" for i in range(n)]
+    C = Graph(tuple(ids), tuple(Arc(ids[i], ids[(i + 1) % n], ids[i])
+                                for i in range(n)))
+    to_loop = GraphMorphism(C, cycle_graph(1), dict.fromkeys(ids, "0"),
+                            dict.fromkeys(ids, "0"))
+    files = write_morphisms(tmp_path, left=GraphMorphism(EMPTY, C, {}, {}),
+                            right=to_loop, top=GraphMorphism(EMPTY, C, {}, {}),
+                            bottom=to_loop)
+    code, out, err = invoke(capsys, "lift", files["left"], files["right"],
+                            files["top"], files["bottom"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == morphism_to_json(identity(C))
 
 
 def test_lift_found(capsys, tmp_path):
@@ -301,6 +331,39 @@ def test_bad_budget_exit_code(capsys, monkeypatch, env, flag, message):
 def test_bad_bound_exit_code(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_FILE_ARGS = {"lift": 4, "homotopy-eq": 2}
+
+
+@pytest.mark.parametrize("argv, code", [
+    ((command,) + (path,) * _FILE_ARGS.get(command, 1), 2)
+    for command in ("charpoly", "zeta", "census", "witt", "cofibrant-replace",
+                    "classify", "lift", "homotopy-eq", "nset", "zset")
+    for path in ("missing.json", "malformed.json")
+] + [
+    # top and bottom swapped: the square's endpoints do not match
+    (("lift", "left.json", "right.json", "bottom.json", "top.json"), 2),
+    (("lift", "left.json", "right.json", "top.json", "bottom.json",
+      "--budget", "0"), 3),
+    (("classify", "s.json", "--budget", "0"), 3),
+    (("cofibrant-replace", "cross", "--budget", "0"), 3),
+    (("explore", "--nodes", "2", "--arcs", "2", "--budget", "0"), 3),
+    (("classify", "s.json", "--upto", "0"), 2),
+    (("census", "cycle:0"), 2),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+def test_error_contract(capsys, monkeypatch, tmp_path, argv, code):
+    # one error line on stderr, nothing on stdout, and the exit code
+    (tmp_path / "malformed.json").write_text("{not json")
+    # the square of test_lift_no_lift, which needs a search
+    write_morphisms(tmp_path, left=initial_to_cycle(1),
+                    right=cycle_projection(1, 2),
+                    top=GraphMorphism(EMPTY, cycle_graph(2), {}, {}),
+                    bottom=identity(cycle_graph(1)), s=source_inclusion())
+    monkeypatch.chdir(tmp_path)
+    got, out, err = invoke(capsys, *argv)
+    assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

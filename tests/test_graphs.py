@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gphom.dynamics import FinNSet, FinZSet, nset_from_json, nset_to_json
 from gphom.errors import BudgetExceeded, InvalidGraph, InvalidInput
 from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
                           arrow_graph, component_count, connected_components,
@@ -456,6 +457,43 @@ def test_morphism_json_round_trip():
     data = morphism_to_json(f)
     g = morphism_from_json(data)
     assert g.node_map == f.node_map and g.arc_map == f.arc_map
+
+
+def sorted_graph(X: Graph) -> Graph:
+    """X with its nodes and arcs in the order graph_to_json writes them."""
+    return Graph(tuple(sorted(X.nodes)), tuple(sorted(X.arcs, key=lambda a: a.id)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_graph_json_round_trips(X):
+    assert graph_from_json(graph_to_json(X)) == sorted_graph(X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_arcs=3), graphs(), st.data())
+def test_morphism_json_round_trips(X, Y, data):
+    morphs = enumerate_morphisms(X, Y)
+    if not morphs:
+        Y = coproduct(X, Y)       # X -> X + Y always exists
+        morphs = enumerate_morphisms(X, Y)
+    f = data.draw(st.sampled_from(morphs))
+    g = morphism_from_json(morphism_to_json(f))
+    assert (g.source, g.target) == (sorted_graph(X), sorted_graph(Y))
+    assert (g.node_map, g.arc_map) == (f.node_map, f.arc_map)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ids, min_size=1, max_size=4, unique=True), st.data())
+def test_nset_json_round_trips(elements, data):
+    sigma = {x: data.draw(st.sampled_from(elements)) for x in elements}
+    S = FinNSet(tuple(elements), sigma)
+    assert nset_from_json(nset_to_json(S)) == FinNSet(tuple(sorted(elements)), sigma)
+    # a permutation makes a Z-set
+    perm = data.draw(st.permutations(elements))
+    Z = FinZSet(tuple(elements), dict(zip(elements, perm)))
+    assert nset_from_json(nset_to_json(Z), require_zset=True) == \
+        FinZSet(tuple(sorted(elements)), Z.sigma)
 
 
 def test_coproduct_injections_valid():

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -19,8 +20,8 @@ from gphom.model import (GeneratorSet, LiftingProblem, aperiodic_necklaces,
                          is_whiskering, morphism_key, source_inclusion)
 from gphom.witt import from_graph
 
-from conftest import (brute_force_acyclic_bounded, brute_force_necklaces,
-                      random_graph)
+from conftest import (brute_force_acyclic_bounded, brute_force_morphisms,
+                      brute_force_necklaces, random_graph)
 
 
 def attach_whiskers(X: Graph, rnd: random.Random, count: int) -> GraphMorphism:
@@ -277,6 +278,66 @@ def test_whiskering_surjecting_squares_all_lift():
         assert h is not None
         assert morphism_key(h.compose(p.left)) == morphism_key(p.top)
         assert morphism_key(p.right.compose(h)) == morphism_key(p.bottom)
+
+
+def random_squares(rnd: random.Random, how_many: int):
+    """Seeded commuting squares with every leg drawn from all morphisms: X
+    (empty one time in five), Y, A and B random, then l, r and f, then g
+    among the morphisms Y -> B with g.l == r.f."""
+    squares = []
+    while len(squares) < how_many:
+        X = EMPTY if rnd.random() < 0.2 else random_graph(rnd, 2, 2)
+        Y, A = random_graph(rnd, 3, 4), random_graph(rnd, 3, 4)
+        B = random_graph(rnd, 2, 3)
+        ls, rs, fs = (enumerate_morphisms(X, Y), enumerate_morphisms(A, B),
+                      enumerate_morphisms(X, A))
+        if not (ls and rs and fs):
+            continue
+        l, r, f = rnd.choice(ls), rnd.choice(rs), rnd.choice(fs)
+        gs = [g for g in enumerate_morphisms(Y, B)
+              if morphism_key(g.compose(l)) == morphism_key(r.compose(f))]
+        if gs:
+            squares.append(LiftingProblem(left=l, right=r, top=f,
+                                          bottom=rnd.choice(gs)))
+    return squares
+
+
+def test_find_lift_matches_brute_force():
+    found = 0
+    for p in random_squares(random.Random(35), 800):
+        l, r, f, g = p.left, p.right, p.top, p.bottom
+        first = next(((nm, am) for nm, am in
+                      brute_force_morphisms(l.target, r.source)
+                      if all(nm[l.node_map[x]] == f.node_map[x] for x in f.node_map)
+                      and all(am[l.arc_map[e]] == f.arc_map[e] for e in f.arc_map)
+                      and all(r.node_map[nm[y]] == g.node_map[y] for y in nm)
+                      and all(r.arc_map[am[b]] == g.arc_map[b] for b in am)),
+                     None)
+        h = find_lift(p)
+        assert (None if h is None else (h.node_map, h.arc_map)) == first
+        found += h is not None
+    assert 200 < found < 600
+
+
+def test_find_lift_deeper_than_recursion_limit():
+    # i_n: 0 -> C_n against C_n -> C_1: the first lift is the identity
+    n = sys.getrecursionlimit() + 500
+    Cn = cycle_graph(n)
+    to_loop = GraphMorphism(Cn, cycle_graph(1), dict.fromkeys(Cn.nodes, "0"),
+                            {a.id: "0" for a in Cn.arcs})
+    p = LiftingProblem(left=initial_to_cycle(n), right=to_loop,
+                       top=GraphMorphism(EMPTY, Cn, {}, {}), bottom=to_loop)
+    assert morphism_key(find_lift(p, Budget(n))) == morphism_key(identity(Cn))
+    # isolated nodes over a dot: the first combination of images lifts
+    Y = Graph(tuple(map(str, range(1500))), ())
+    to_dot = GraphMorphism(Y, dot_graph(), dict.fromkeys(Y.nodes, "0"), {})
+    p = LiftingProblem(left=GraphMorphism(EMPTY, Y, {}, {}),
+                       right=identity(dot_graph()),
+                       top=GraphMorphism(EMPTY, dot_graph(), {}, {}),
+                       bottom=to_dot)
+    budget = Budget(1)
+    assert morphism_key(find_lift(p, budget)) == morphism_key(to_dot)
+    assert budget.used == 1
 
 
 # ---------------------------------------------------------------------------
