@@ -483,9 +483,10 @@ def is_isomorphic(X: Graph, Y: Graph,
     anchor, and may map only to a neighbour of the anchor's image (the
     matching order of VF2, Cordella et al. 2004).  A candidate must agree
     with the mapped nodes on arc counts; checking only v's mapped neighbours
-    suffices when w has as many mapped neighbours.  One budget step per
-    candidate tried; an explicit stack, so deep graphs cannot exhaust the
-    recursion limit.
+    suffices when w has as many mapped neighbours.  Graphs whose degree
+    profiles or connected components' (nodes, arcs) sizes differ are
+    rejected before the search.  One budget step per candidate tried; an
+    explicit stack, so deep graphs cannot exhaust the recursion limit.
     """
     budget = budget or Budget()
     if len(X.nodes) != len(Y.nodes) or len(X.arcs) != len(Y.arcs):
@@ -506,6 +507,37 @@ def is_isomorphic(X: Graph, Y: Graph,
     cx, cy = arc_count(X), arc_count(Y)
     nx, ny = _neighbours(X), _neighbours(Y)
 
+    def breadth_first(G: Graph, nbrs):
+        # G's nodes breadth first per connected component, their anchors,
+        # and the sorted (nodes, arcs) sizes of the components
+        order: list[str] = []
+        anchor: list[str | None] = []
+        sizes = []
+        placed: set[str] = set()
+        head = 0
+        for root in G.nodes:
+            if root in placed:
+                continue
+            start = len(order)
+            placed.add(root)
+            order.append(root)
+            anchor.append(None)
+            while head < len(order):   # order doubles as the BFS queue
+                u = order[head]
+                head += 1
+                for t in nbrs[u]:
+                    if t not in placed:
+                        placed.add(t)
+                        order.append(t)
+                        anchor.append(u)
+            sizes.append((len(order) - start,
+                          sum(len(G.out_arcs[v]) for v in order[start:])))
+        return order, anchor, sorted(sizes)
+
+    order, anchor, sizes = breadth_first(X, nx)
+    if breadth_first(Y, ny)[2] != sizes:
+        return False, None
+
     def local(G: Graph, cnt) -> dict[str, tuple[int, int, int]]:
         # indegree, outdegree and loops: what a node's image must share
         return {v: (len(G.in_arcs[v]), len(G.out_arcs[v]), cnt.get((v, v), 0))
@@ -513,24 +545,6 @@ def is_isomorphic(X: Graph, Y: Graph,
 
     lx, ly = local(X, cx), local(Y, cy)
 
-    order: list[str] = []
-    anchor: list[str | None] = []
-    placed: set[str] = set()
-    head = 0
-    for root in X.nodes:
-        if root in placed:
-            continue
-        placed.add(root)
-        order.append(root)
-        anchor.append(None)
-        while head < len(order):   # order doubles as the BFS queue
-            u = order[head]
-            head += 1
-            for t in nx[u]:
-                if t not in placed:
-                    placed.add(t)
-                    order.append(t)
-                    anchor.append(u)
     # back[i]: v's neighbours mapped before it, with the arc counts v -> u
     # and u -> v that their images must match
     position = {v: i for i, v in enumerate(order)}

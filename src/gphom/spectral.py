@@ -1,11 +1,14 @@
 """Exact integer linear algebra over the adjacency operator.
 
-Two primitives carry every invariant.  `char_poly` runs the division-free
-Berkowitz algorithm; det(I - uA), the zeta series (its inverse) and,
+Two primitives carry every invariant.  `reversed_char_poly` gives
+det(I - uA) as the product of det(I - uA_C) over the strongly connected
+components C, running the division-free Berkowitz algorithm on each block
+of two or more nodes only; `char_poly`, the zeta series (its inverse) and,
 through Newton's identities, the ghost components derive from it.
 `closed_walk_counts` gives tr(A^n) for n = 1..N by pushing walk counts
 along the arcs of each strongly connected component, independently of the
-polynomial, so each route can check the other.
+polynomial, so each route can check the other.  The two routes share only
+the component pass, so the tests check both against dense oracles.
 
 Both advance many small vectors at once: the vectors' entries for one node
 sit in fixed-width bit fields of one Python int, so a single big-int
@@ -92,26 +95,27 @@ def adjacency_matrix(X: Graph) -> list[list[int]]:
 
 def _berkowitz(A: list[list[int]]) -> list[int]:
     """Coefficients of det(xI - A), highest degree first, by the Berkowitz
-    algorithm (division-free, exact) with all bordering steps at once.
+    algorithm (division-free, exact) with all bordering steps at once, for a
+    block of nonnegative integers with no zero row, as a strongly connected
+    component of two or more nodes has.
 
     Step k borders the principal k block M_k with row R_k, column S_k and
     corner a_kk, and multiplies the previous polynomial by the Toeplitz
     column built from t(k) = (a_kk, R_k S_k, R_k M_k S_k, ...,
-    R_k M_k^(k-1) S_k).  The int V[i] holds (M_k^j S_k)[i] in bit field k,
-    for every k > i, so one sweep U = A V, a big-int multiply-add per
-    nonzero entry, advances every step: t_(j+1)(k) is field k of U[k], and
-    V[i] is U[i] with the fields <= i cleared.  A field counts weighted
-    walks of length <= n from one row, so with r the largest row sum it is
-    at most r^n < 2^w.  That needs nonnegative entries: fields then never
-    borrow or carry into each other.  The steps go in batches that keep the
-    packed vector within _PACK_BITS bits.
+    R_k M_k^(k-1) S_k).  The int V[i] holds (M_k^j S_k)[i] in a bit field
+    of step k, for every k > i, so one sweep U = A V, a big-int
+    multiply-add per nonzero entry, advances every step: t_(j+1)(k) is
+    step k's field of U[k], and V[i] is U[i] with the fields of the steps
+    <= i cleared.  The fields go in descending order, the last step at
+    offset 0, so those are V[i]'s high fields and clearing them shrinks the
+    int: the later the row, the fewer fields it carries.  A field counts
+    weighted walks of length <= n from one row, so with r the largest row
+    sum it is at most r^n < 2^w, wherever it sits.  That needs nonnegative
+    entries: fields then never borrow or carry into each other.  The steps
+    go in batches that keep the packed vector within _PACK_BITS bits.
     """
     n = len(A)
-    if not n:
-        return [1]
-    if min(map(min, A)) < 0:
-        raise InvalidInput("char_poly needs a matrix of nonnegative integers")
-    w = (max(map(sum, A)) ** n or 1).bit_length()
+    w = (max(map(sum, A)) ** n).bit_length()
     mask = (1 << w) - 1
     size = max(1, _PACK_BITS // (n * w))   # steps per batch
     coeffs = [1]
@@ -122,13 +126,13 @@ def _berkowitz(A: list[list[int]]) -> list[int]:
         if sparse:   # long rows: multiply their nonzero entries only
             cols = [[j for j in range(k1) if row[j]] for row in rows]
             rows = [(js, [row[j] for j in js]) for row, js in zip(rows, cols)]
-        fields = range(0, (k1 - k0) * w, w)
+        fields = range((k1 - k0 - 1) * w, -1, -w)   # step k at (k1-1-k)*w
         units = [1 << f for f in fields]
-        keep = [-1] * k0 + [-u << w for u in units]   # clears the fields <= i
+        keep = [-1] * k0 + [u - 1 for u in units]   # clears the fields <= i
         diag = [0] * k0 + [mask * u for u in units]   # field i of row i
         # sweeping unit vectors gives t_0(k) = a_kk and V[i] = S_k[i]
         V = [0] * k0 + units
-        D = []   # D[j]: t_j(k) in field k, for every k
+        D = []   # D[j]: t_j(k) in step k's field, for every k
         for j in range(k1):
             if j == k1 - 1:   # the last sweep is for t_j(k1 - 1) only
                 rows, diag = rows[-1:], diag[-1:]
@@ -150,16 +154,36 @@ def _berkowitz(A: list[list[int]]) -> list[int]:
     return coeffs
 
 
-def char_poly(A: list[list[int]]) -> IntPolynomial:
-    """det(xI - A) for a square matrix A of nonnegative integers, such as
-    adjacency_matrix(X); a negative entry raises InvalidInput."""
-    return IntPolynomial.from_list(reversed(_berkowitz(A)))
-
-
 def reversed_char_poly(A: list[list[int]]) -> IntPolynomial:
-    """det(I - uA) = u^n * det((1/u)I - A), trailing zeros dropped: the
-    coefficients of det(xI - A) read from the highest degree down."""
-    return IntPolynomial.from_list(_berkowitz(A))
+    """det(I - uA) for a square matrix A of nonnegative integers, such as
+    adjacency_matrix(X), trailing zeros dropped; a negative entry raises
+    InvalidInput.
+
+    Ordering the strongly connected components of A's nonzero pattern makes
+    A block triangular, so det(I - uA) is the product of det(I - uA_C) over
+    the components C.  A node on no cycle gives 1 and a lone node with d
+    loops 1 - d*u; only blocks of two or more nodes run _berkowitz, whose
+    det(xI - A_C), highest degree first, is det(I - uA_C) ascending.
+    """
+    if A and min(map(min, A)) < 0:
+        raise InvalidInput("char_poly needs a matrix of nonnegative integers")
+    det = IntPolynomial((1,))
+    for comp in _strong_components([[j for j, a in enumerate(row) if a]
+                                    for row in A]):
+        if len(comp) > 1:
+            block = [[A[i][j] for j in comp] for i in comp]
+            det *= IntPolynomial.from_list(_berkowitz(block))
+        elif d := A[comp[0]][comp[0]]:   # a lone node with d loops
+            det *= IntPolynomial((1, -d))
+    return det
+
+
+def char_poly(A: list[list[int]]) -> IntPolynomial:
+    """det(xI - A) = x^n det(I - A/x) for a square matrix A of nonnegative
+    integers, such as adjacency_matrix(X); a negative entry raises
+    InvalidInput."""
+    d = reversed_char_poly(A).coefficients
+    return IntPolynomial((0,) * (len(A) + 1 - len(d)) + d[::-1])
 
 
 def _strong_components(succ: list[list[int]]) -> list[list[int]]:
@@ -214,16 +238,17 @@ def closed_walk_counts(X: Graph, upto: int) -> list[int]:
 
     A closed walk never leaves the strongly connected component it starts
     in, so tr(A^n) is the sum of the traces of the components' blocks, and
-    nodes on no cycle contribute nothing.  Within a component, walk counts
-    from all start nodes are pushed along its arcs together, once per
-    length: start node s owns bit field s of every node's int, so one step
-    is one big-int addition per arc, and c_n gains field j of node j for
-    every j.  A count of walks of length n is at most d^n for d the
-    largest indegree in the component, so with k nodes, fields of w bits
-    with k * d^upto < 2^w never carry into each other, and the sum of the
-    diagonal fields fits in one field too.  Start nodes go in batches
-    that keep the packed vector within _PACK_BITS bits.  No use of the
-    characteristic polynomial.  Empty when upto < 1.
+    nodes on no cycle contribute nothing.  A lone node with d loops adds
+    d^n.  Within a larger component, walk counts from all start nodes are
+    pushed along its arcs together, once per length: start node s owns bit
+    field s of every node's int, so one step is one big-int addition per
+    arc, and c_n gains field j of node j for every j.  A count of walks of
+    length n is at most d^n for d the largest indegree in the component,
+    so with k nodes, fields of w bits with k * d^upto < 2^w never carry
+    into each other, and the sum of the diagonal fields fits in one field
+    too.  Start nodes go in batches that keep the packed vector within
+    _PACK_BITS bits.  No use of the characteristic polynomial.  Empty when
+    upto < 1.
     """
     if upto < 1:
         return []
@@ -247,9 +272,14 @@ def closed_walk_counts(X: Graph, upto: int) -> list[int]:
                 preds[comp_of[w]][pos[w]].append(pos[v])
     counts = [0] * upto
     for block in preds:
-        if not any(block):   # a single node without a loop
-            continue
         k = len(block)
+        if k == 1:   # a lone node with d loops adds d^n; without, nothing
+            d, p = len(block[0]), 1
+            if d:
+                for n in range(upto):
+                    p *= d
+                    counts[n] += p
+            continue
         w = (k * max(map(len, block)) ** upto).bit_length()
         size = max(1, _PACK_BITS // (k * w))
         for s0 in range(0, k, size):

@@ -177,6 +177,18 @@ def dense_char_poly(A: list[list[int]]) -> IntPolynomial:
     return IntPolynomial.from_list(list(reversed(coeffs)))
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Record the first argument of every call to module.name."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 ACCEPTANCE_LINES: list[str] = []
 
 

@@ -16,6 +16,8 @@ from gphom.graphs import (Arc, EMPTY, Graph, GraphMorphism, cross_graph,
 from gphom.model import (cycle_fold, cycle_projection, initial_to_cycle,
                          source_inclusion)
 
+from conftest import count_calls
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -50,18 +52,6 @@ def test_homotopy_eq_negative_exit_code(capsys):
     code, out, _ = invoke(capsys, "homotopy-eq", "cycle:2", "cycle:3")
     assert code == 1
     assert "NOT-HOMOTOPY-EQUIVALENT" in out
-
-
-def count_calls(monkeypatch, module, name) -> list:
-    """Record the first argument of every call to module.name."""
-    real, calls = getattr(module, name), []
-
-    def wrapper(*args):
-        calls.append(args[0])
-        return real(*args)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
 
 
 def test_polynomials_computed_once_per_graph(capsys, monkeypatch):
@@ -232,9 +222,14 @@ def test_oversized_builtin_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("gphom.cli.MAX_BUILTIN_SIZE", 3)
     for name in ("cycle", "path", "ucycle"):
         assert len(load_graph(f"{name}:3").nodes) >= 3
-        code, out, err = invoke(capsys, "census", f"{name}:4")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        big = f"{name}:4"
+        for argv in (["census", big], ["charpoly", big], ["zeta", big],
+                     ["witt", big], ["cofibrant-replace", big],
+                     ["homotopy-eq", big, "cross"],
+                     ["homotopy-eq", "cross", big]):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_explore_cli(capsys, tmp_path):
@@ -367,19 +362,29 @@ def test_error_contract(capsys, monkeypatch, tmp_path, argv, code):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_closed_stdout_ends_quietly():
+def assert_closed_stdout_ends_quietly(argv, first_line: bytes):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gphom.cli", "census", "cycle:1", "--upto",
-         "100000"],
+        [sys.executable, "-m", "gphom.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(src)})
     # far more output than a pipe buffers, so writing must meet the close
-    assert proc.stdout.readline() == b"1\t1\n"
+    assert proc.stdout.readline() == first_line
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (0, b"")
+
+
+def test_closed_stdout_ends_quietly():
+    assert_closed_stdout_ends_quietly(
+        ["census", "cycle:1", "--upto", "100000"], b"1\t1\n")
+
+
+def test_closed_stdout_ends_quietly_on_witt():
+    # about 300 kB of output, from a table with a header line
+    assert_closed_stdout_ends_quietly(
+        ["witt", "figure-eight", "--upto", "1000"], b"n\tc_n\ts_n\n")
 
 
 def test_budget_from_environment(capsys, monkeypatch, tmp_path):

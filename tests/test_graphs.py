@@ -405,6 +405,17 @@ def test_is_isomorphic_disjoint_cycles_within_small_budget():
     assert is_isomorphic(Y, X, Budget(10_000)) == (False, None)
 
 
+def test_is_isomorphic_rejects_other_component_sizes_without_search():
+    # equal degree profiles: only the components' sizes tell these apart,
+    # and a search would walk the whole cycle from every root candidate
+    X = relabel(cycle_graph(1500), random.Random(17))
+    Y = coproduct(cycle_graph(1499), cycle_graph(1))
+    for G, H in ((X, Y), (Y, X)):
+        budget = Budget()
+        assert is_isomorphic(G, H, budget) == (False, None)
+        assert budget.used == 0
+
+
 def test_is_isomorphic_deeper_than_recursion_limit():
     n = sys.getrecursionlimit() + 500
     X = relabel(cycle_graph(n), random.Random(15))

@@ -15,7 +15,7 @@ from gphom.spectral import (IntPolynomial, adjacency_matrix, char_poly,
                             newton_power_sums, reversed_char_poly, zeta_series)
 from gphom.witt import from_graph
 
-from conftest import (brute_force_closed_walks, dense_char_poly,
+from conftest import (brute_force_closed_walks, count_calls, dense_char_poly,
                       dense_cycle_count, random_graph)
 
 
@@ -415,3 +415,98 @@ def test_char_poly_rejects_negative_entries():
     with pytest.raises(InvalidInput, match="nonnegative"):
         reversed_char_poly([[1, 0], [0, -2]])
     assert char_poly([[0, 0], [0, 0]]).coefficients == (0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# det(I - uA) factored over strongly connected components, and the census's
+# lone loop nodes: the two routes share the component pass, so only these
+# oracles can catch a fault in it
+
+def planted_components(rnd: random.Random, parts: int) -> Graph:
+    """`parts` strongly connected parts of 1 to 5 nodes on shuffled node
+    numbers, so the components are listed out of node order and interleave.
+    A part of two or more nodes is a cycle plus random inner arcs, parallel
+    ones among them; a lone node has 0 to 3 loops.  Arcs between parts run
+    only forwards in the order of the parts, one of them into a chain of
+    loopless nodes that ends on a loop node."""
+    sizes = [rnd.choice((1, 1, 2, 3, 5)) for _ in range(parts)]
+    chain_length = rnd.randrange(6)
+    ids = list(range(sum(sizes) + chain_length + 1))
+    rnd.shuffle(ids)
+    groups, start = [], 0
+    for size in sizes:
+        groups.append(ids[start:start + size])
+        start += size
+    chain = ids[start:]
+    pairs = list(zip(chain, chain[1:])) + [(chain[-1], chain[-1])]
+    for g in groups:
+        if len(g) > 1:
+            pairs += list(zip(g, g[1:] + g[:1]))
+            pairs += [(rnd.choice(g), rnd.choice(g)) for _ in range(len(g))]
+        else:
+            pairs += [(g[0], g[0])] * rnd.randrange(4)
+    for _ in range(2 * parts):
+        a, b = sorted(rnd.randrange(parts) for _ in range(2))
+        if a < b:
+            pairs.append((rnd.choice(groups[a]), rnd.choice(groups[b])))
+    pairs += [(rnd.choice(groups[-1]), chain[0]), pairs[0]]
+    rnd.shuffle(pairs)
+    return graph_of(len(ids), pairs)
+
+
+def planted_graphs() -> list[Graph]:
+    rnd = random.Random(31)
+    return [EMPTY] + [planted_components(rnd, parts)
+                      for parts in range(1, 6) for _ in range(6)]
+
+
+def test_factored_char_poly_matches_dense_oracle():
+    for X in planted_graphs():
+        A = adjacency_matrix(X)
+        a = dense_char_poly(A)
+        assert char_poly(A) == a
+        n = len(A)
+        assert reversed_char_poly(A) == \
+            IntPolynomial.from_list(a[n - k] for k in range(n + 1))
+
+
+def test_factored_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for X in planted_graphs():
+        A = adjacency_matrix(X)
+        k = len(A)
+        expected = sympy.Matrix(k, k, [x for row in A for x in row]).charpoly()
+        assert list(char_poly(A).coefficients) == \
+            [int(c) for c in reversed(expected.all_coeffs())]
+
+
+def test_long_path_runs_no_berkowitz(monkeypatch):
+    berkowitz = count_calls(monkeypatch, spectral, "_berkowitz")
+    A = adjacency_matrix(path_graph(2000))
+    assert char_poly(A).coefficients == (0,) * len(A) + (1,)
+    assert reversed_char_poly(A).coefficients == (1,)
+    assert berkowitz == []
+
+
+def test_berkowitz_runs_only_on_blocks_of_two_or_more(monkeypatch):
+    berkowitz = count_calls(monkeypatch, spectral, "_berkowitz")
+    A = adjacency_matrix(scrambled_components())
+    assert char_poly(A) == dense_char_poly(A)
+    # the blocks {2, 7, 11} and {4, 9}; the lone nodes, with loops or
+    # without, enter the product directly
+    assert sorted(map(len, berkowitz)) == [2, 3]
+
+
+def test_census_sums_loop_nodes_beside_a_component():
+    rnd = random.Random(32)
+    for _ in range(6):
+        k, lone = rnd.randint(3, 7), rnd.randint(10, 20)
+        pairs = [(u, (u + 1) % k) for u in range(k)]
+        pairs += [(rnd.randrange(k), rnd.randrange(k)) for _ in range(k)]
+        for v in range(k, k + lone):   # 0 to 3 loops, fed from earlier nodes
+            pairs += [(v, v)] * rnd.randrange(4) + [(rnd.randrange(v), v)]
+        ids = list(range(k + lone))
+        rnd.shuffle(ids)
+        X = graph_of(len(ids), [(ids[u], ids[v]) for u, v in pairs])
+        assert closed_walk_counts(X, 8) == \
+            [dense_cycle_count(X, n) for n in range(1, 9)]
