@@ -17,7 +17,8 @@ from .graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism, arrow_graph,
                      morphism_from_json, morphism_to_json, path_graph,
                      product, pullback, pushout, undirected_cycle)
 from .spectral import (IntPolynomial, ZetaSeries, adjacency_matrix, char_poly,
-                       closed_walk_counts, cycle_count, reversed_char_poly,
+                       closed_walk_counts, cycle_count, graph_char_poly,
+                       graph_reversed_char_poly, reversed_char_poly,
                        zeta_series)
 from .witt import (AlmostFiniteZSet, burnside_add, burnside_mul, from_ghost,
                    from_graph, from_witt, ghost_to_witt, witt_to_ghost,

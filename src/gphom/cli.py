@@ -94,10 +94,8 @@ def _emit(args, payload: dict, text_lines: list[str]):
 
 def cmd_charpoly(args) -> int:
     X = load_graph(args.graph)
-    A = spectral.adjacency_matrix(X)
-    a = spectral.char_poly(A)
-    # det(I - uA): the same coefficients read from the highest degree down
-    rev = spectral.IntPolynomial.from_list(reversed(a.coefficients))
+    a = spectral.graph_char_poly(X)
+    rev = spectral.graph_reversed_char_poly(X)
     _emit(args, {
         "charpoly": list(a.coefficients),
         "reversed": list(rev.coefficients),
@@ -193,7 +191,7 @@ def cmd_homotopy_eq(args) -> int:
     X = load_graph(args.graph_a)
     Y = load_graph(args.graph_b)
     sig_x, sig_y = homotopy.signature(X), homotopy.signature(Y)
-    equivalent = homotopy.homotopy_equivalent(X, Y, (sig_x, sig_y))
+    equivalent = homotopy.homotopy_equivalent(X, Y)
     verdict = "HOMOTOPY-EQUIVALENT" if equivalent else "NOT-HOMOTOPY-EQUIVALENT"
     _emit(args, {
         "equivalent": equivalent,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidGraph, InvalidInput, NotAnNGraph
-from .graphs import Arc, Graph
+from .graphs import Arc, Graph, GraphMorphism
 
 
 @dataclass(frozen=True, repr=False)
@@ -88,7 +88,6 @@ def cayley_graph(S: FinNSet) -> Graph:
 
 def cayley_morphism(f: NSetMap):
     """The graph morphism induced by an N-set map (same function on nodes and arcs)."""
-    from .graphs import GraphMorphism
     return GraphMorphism(cayley_graph(f.source), cayley_graph(f.target),
                          dict(f.map), dict(f.map))
 

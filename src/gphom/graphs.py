@@ -63,6 +63,15 @@ class Graph:
             inc[a.tgt].append(a)
         return {v: tuple(arcs) for v, arcs in inc.items()}
 
+    @cached_property
+    def cyclic_blocks(self) -> list[list[list[int]]]:
+        """_cyclic_blocks of the arcs; read by the spectral routes."""
+        idx = self.node_index
+        succ: list[list[int]] = [[] for _ in self.nodes]
+        for a in self.arcs:
+            succ[idx[a.src]].append(idx[a.tgt])
+        return _cyclic_blocks(succ)
+
     def outdegree(self, v: str) -> int:
         return len(self.out_arcs[v])
 
@@ -342,6 +351,60 @@ def connected_components(X: Graph) -> list[tuple[str, ...]]:
 
 def component_count(X: Graph) -> int:
     return len(connected_components(X))
+
+
+def _cyclic_blocks(succ: list[list[int]]) -> list[list[list[int]]]:
+    """The strongly connected components holding a cycle (two or more nodes,
+    or a loop) of the digraph with successor lists `succ`, parallel arcs
+    repeated: entry j of one lists the source, numbered within it, of every
+    arc into its node j from inside it.  By Kosaraju's algorithm on explicit
+    stacks, so long paths cannot exhaust the interpreter's: a search along
+    the arcs lists the nodes as it finishes them, and then, in reverse
+    order, a search against the arcs from each node not yet placed reaches
+    the rest of its component."""
+    size = len(succ)
+    preds: list[list[int]] = [[] for _ in succ]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            preds[w].append(v)
+    finished: list[int] = []
+    seen = [False] * size
+    for root in range(size):
+        if seen[root]:
+            continue
+        seen[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+            else:
+                work.pop()
+                finished.append(v)
+    comp_of = [-1] * size
+    pos = [0] * size   # a node's place in its component; the root's is 0
+    blocks: list[list[list[int]]] = []
+    for root in reversed(finished):
+        if comp_of[root] >= 0:
+            continue
+        comp_of[root] = root
+        comp, block = [root], []
+        for v in comp:   # the search appends to the list it walks
+            row = []
+            for u in preds[v]:
+                if comp_of[u] < 0:   # not yet placed, so in this component
+                    comp_of[u] = root
+                    pos[u] = len(comp)
+                    comp.append(u)
+                if comp_of[u] == root:
+                    row.append(pos[u])
+            block.append(row)
+        if len(comp) > 1 or block[0]:
+            blocks.append(block)
+    return blocks
 
 
 # ---------------------------------------------------------------------------

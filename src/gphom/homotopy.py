@@ -17,7 +17,7 @@ from .errors import InternalInconsistency, InvalidInput
 from .graphs import (Arc, Budget, Graph, cross_graph, cycle_graph,
                      figure_eight, is_isomorphic, path_graph,
                      undirected_cycle)
-from .spectral import IntPolynomial, adjacency_matrix, reversed_char_poly
+from .spectral import IntPolynomial, graph_reversed_char_poly
 from .witt import from_graph
 
 
@@ -30,20 +30,14 @@ class HomotopySignature:
 
 
 def signature(X: Graph) -> HomotopySignature:
-    return HomotopySignature(reversed_char_poly(adjacency_matrix(X)))
+    return HomotopySignature(graph_reversed_char_poly(X))
 
 
-def homotopy_equivalent(
-        X: Graph, Y: Graph,
-        signatures: tuple[HomotopySignature, HomotopySignature] | None = None,
-) -> bool:
-    """Same reversed characteristic polynomial, cross-checked on walk counts.
-
-    `signatures`, if given, are signature(X) and signature(Y), computed
-    earlier by the caller; the walk counts are computed here either way.
-    """
-    sig_x, sig_y = signatures or (signature(X), signature(Y))
-    by_poly = sig_x == sig_y
+def homotopy_equivalent(X: Graph, Y: Graph) -> bool:
+    """Same reversed characteristic polynomial, cross-checked on walk counts,
+    which are computed on every call; the polynomials are kept on the graphs.
+    Both read the graphs' one component pass, which only the tests check."""
+    by_poly = signature(X) == signature(Y)
     bound = max(len(X.nodes), len(Y.nodes), 1)
     # looked up on the module, so a test can perturb this route alone
     by_counts = (spectral.closed_walk_counts(X, bound)

@@ -1,14 +1,13 @@
 """Exact integer linear algebra over the adjacency operator.
 
-Two primitives carry every invariant.  `reversed_char_poly` gives
-det(I - uA) as the product of det(I - uA_C) over the strongly connected
-components C, running the division-free Berkowitz algorithm on each block
-of two or more nodes only; `char_poly`, the zeta series (its inverse) and,
-through Newton's identities, the ghost components derive from it.
-`closed_walk_counts` gives tr(A^n) for n = 1..N by pushing walk counts
-along the arcs of each strongly connected component, independently of the
-polynomial, so each route can check the other.  The two routes share only
-the component pass, so the tests check both against dense oracles.
+Two primitives carry every invariant, and both read `Graph.cyclic_blocks`,
+the strongly connected components holding a cycle, found once per graph.
+`graph_reversed_char_poly` gives det(I - uA), the product of det(I - uA_C)
+over them by the division-free Berkowitz algorithm, once per graph; the
+zeta series and the ghost components derive from it.  `closed_walk_counts`
+gives tr(A^n) by pushing walk counts along the components' arcs.  Each
+route checks the other but for the shared component pass, which the tests
+check against dense oracles.  `char_poly(A)` builds the components from A.
 
 Both advance many small vectors at once: the vectors' entries for one node
 sit in fixed-width bit fields of one Python int, so a single big-int
@@ -24,11 +23,9 @@ from dataclasses import dataclass
 from operator import and_, mul
 
 from .errors import IntegralityViolation, InvalidInput
-from .graphs import Graph
+from .graphs import Graph, _cyclic_blocks
 
 _PACK_BITS = 1 << 24   # bit budget of one batch of packed vectors
-_DENSE_ROWS = 12       # blocks up to this size multiply whole rows, which
-                       # costs less there than indexing the nonzeros
 
 
 @dataclass(frozen=True)
@@ -93,54 +90,47 @@ def adjacency_matrix(X: Graph) -> list[list[int]]:
     return A
 
 
-def _berkowitz(A: list[list[int]]) -> list[int]:
-    """Coefficients of det(xI - A), highest degree first, by the Berkowitz
-    algorithm (division-free, exact) with all bordering steps at once, for a
-    block of nonnegative integers with no zero row, as a strongly connected
-    component of two or more nodes has.
+def _berkowitz(block: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - B), highest degree first, by the Berkowitz
+    algorithm (division-free, exact) with all bordering steps at once.  B is
+    a block of Graph.cyclic_blocks of two or more nodes, read as a matrix:
+    the transpose of the component's, with the same determinant.
 
     Step k borders the principal k block M_k with row R_k, column S_k and
-    corner a_kk, and multiplies the previous polynomial by the Toeplitz
-    column built from t(k) = (a_kk, R_k S_k, R_k M_k S_k, ...,
+    corner b_kk, and multiplies the previous polynomial by the Toeplitz
+    column built from t(k) = (b_kk, R_k S_k, R_k M_k S_k, ...,
     R_k M_k^(k-1) S_k).  The int V[i] holds (M_k^j S_k)[i] in a bit field
-    of step k, for every k > i, so one sweep U = A V, a big-int
-    multiply-add per nonzero entry, advances every step: t_(j+1)(k) is
-    step k's field of U[k], and V[i] is U[i] with the fields of the steps
-    <= i cleared.  The fields go in descending order, the last step at
-    offset 0, so those are V[i]'s high fields and clearing them shrinks the
-    int: the later the row, the fewer fields it carries.  A field counts
-    weighted walks of length <= n from one row, so with r the largest row
-    sum it is at most r^n < 2^w, wherever it sits.  That needs nonnegative
-    entries: fields then never borrow or carry into each other.  The steps
-    go in batches that keep the packed vector within _PACK_BITS bits.
+    of step k, for every k > i, so one sweep U = B V, a big-int addition
+    per arc, advances every step: t_(j+1)(k) is step k's field of U[k], and
+    V[i] is U[i] with the fields of the steps <= i cleared.  The fields go
+    in descending order, the last step at offset 0, so those are V[i]'s
+    high fields and clearing them shrinks the int: the later the row, the
+    fewer fields it carries.  A field counts weighted walks of length <= n
+    from one row, so with r the largest row sum it is at most r^n < 2^w,
+    wherever it sits.  That needs nonnegative entries: fields then never
+    borrow or carry into each other.  The steps go in batches that keep the
+    packed vector within _PACK_BITS bits.
     """
-    n = len(A)
-    w = (max(map(sum, A)) ** n).bit_length()
+    n = len(block)
+    w = (max(map(len, block)) ** n).bit_length()
     mask = (1 << w) - 1
     size = max(1, _PACK_BITS // (n * w))   # steps per batch
     coeffs = [1]
     for k0 in range(0, n, size):
         k1 = min(n, k0 + size)
-        rows = A[:k1]
-        sparse = k1 > _DENSE_ROWS
-        if sparse:   # long rows: multiply their nonzero entries only
-            cols = [[j for j in range(k1) if row[j]] for row in rows]
-            rows = [(js, [row[j] for j in js]) for row, js in zip(rows, cols)]
+        # the arcs of the leading k1 x k1 block
+        rows = [[j for j in row if j < k1] for row in block[:k1]]
         fields = range((k1 - k0 - 1) * w, -1, -w)   # step k at (k1-1-k)*w
         units = [1 << f for f in fields]
         keep = [-1] * k0 + [u - 1 for u in units]   # clears the fields <= i
         diag = [0] * k0 + [mask * u for u in units]   # field i of row i
-        # sweeping unit vectors gives t_0(k) = a_kk and V[i] = S_k[i]
+        # sweeping unit vectors gives t_0(k) = b_kk and V[i] = S_k[i]
         V = [0] * k0 + units
         D = []   # D[j]: t_j(k) in step k's field, for every k
         for j in range(k1):
             if j == k1 - 1:   # the last sweep is for t_j(k1 - 1) only
                 rows, diag = rows[-1:], diag[-1:]
-            if sparse:
-                U = [sum(map(mul, vs, map(V.__getitem__, js)))
-                     for js, vs in rows]
-            else:
-                U = [sum(map(mul, row, V)) for row in rows]
+            U = [sum(map(V.__getitem__, row)) for row in rows]
             D.append(sum(map(and_, U, diag)))
             V = list(map(and_, U, keep))
         for k, f in enumerate(fields, start=k0 + 1):
@@ -154,28 +144,42 @@ def _berkowitz(A: list[list[int]]) -> list[int]:
     return coeffs
 
 
+def _det(blocks: list[list[list[int]]]) -> IntPolynomial:
+    """det(I - uA) from Graph.cyclic_blocks: A is block triangular, so it is
+    the product over them of 1 - d*u for a lone node with d loops, else of
+    _berkowitz's det(xI - A_C), highest degree first: det(I - uA_C)."""
+    det = IntPolynomial((1,))
+    for block in blocks:
+        if len(block) > 1:
+            det *= IntPolynomial.from_list(_berkowitz(block))
+        else:
+            det *= IntPolynomial((1, -len(block[0])))
+    return det
+
+
+def graph_reversed_char_poly(X: Graph) -> IntPolynomial:
+    """det(I - uA) for X's adjacency matrix A, without building A; kept in
+    X.__dict__, as X.cyclic_blocks is, so Berkowitz runs once per graph."""
+    memo = vars(X)
+    if "_reversed_char_poly" not in memo:
+        memo["_reversed_char_poly"] = _det(X.cyclic_blocks)
+    return memo["_reversed_char_poly"]
+
+
+def graph_char_poly(X: Graph) -> IntPolynomial:
+    """det(xI - A) = x^n det(I - A/x) for the adjacency matrix A of X."""
+    d = graph_reversed_char_poly(X).coefficients
+    return IntPolynomial((0,) * (len(X.nodes) + 1 - len(d)) + d[::-1])
+
+
 def reversed_char_poly(A: list[list[int]]) -> IntPolynomial:
     """det(I - uA) for a square matrix A of nonnegative integers, such as
     adjacency_matrix(X), trailing zeros dropped; a negative entry raises
-    InvalidInput.
-
-    Ordering the strongly connected components of A's nonzero pattern makes
-    A block triangular, so det(I - uA) is the product of det(I - uA_C) over
-    the components C.  A node on no cycle gives 1 and a lone node with d
-    loops 1 - d*u; only blocks of two or more nodes run _berkowitz, whose
-    det(xI - A_C), highest degree first, is det(I - uA_C) ascending.
-    """
+    InvalidInput.  Read as A[i][j] arcs i -> j: cost grows with their sum."""
     if A and min(map(min, A)) < 0:
         raise InvalidInput("char_poly needs a matrix of nonnegative integers")
-    det = IntPolynomial((1,))
-    for comp in _strong_components([[j for j, a in enumerate(row) if a]
-                                    for row in A]):
-        if len(comp) > 1:
-            block = [[A[i][j] for j in comp] for i in comp]
-            det *= IntPolynomial.from_list(_berkowitz(block))
-        elif d := A[comp[0]][comp[0]]:   # a lone node with d loops
-            det *= IntPolynomial((1, -d))
-    return det
+    return _det(_cyclic_blocks([[j for j, a in enumerate(row) if a
+                                 for _ in range(a)] for row in A]))
 
 
 def char_poly(A: list[list[int]]) -> IntPolynomial:
@@ -186,99 +190,32 @@ def char_poly(A: list[list[int]]) -> IntPolynomial:
     return IntPolynomial((0,) * (len(A) + 1 - len(d)) + d[::-1])
 
 
-def _strong_components(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of the digraph with successor lists
-    `succ`, by Tarjan's algorithm with an explicit stack instead of
-    recursion, so long paths cannot exhaust the interpreter's stack."""
-    size = len(succ)
-    index = [-1] * size
-    low = [0] * size
-    on_stack = [False] * size
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(size):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-    return comps
-
-
 def closed_walk_counts(X: Graph, upto: int) -> list[int]:
     """[c_1, ..., c_upto] with c_n = tr(A^n), the closed walks of length n.
 
     A closed walk never leaves the strongly connected component it starts
-    in, so tr(A^n) is the sum of the traces of the components' blocks, and
-    nodes on no cycle contribute nothing.  A lone node with d loops adds
-    d^n.  Within a larger component, walk counts from all start nodes are
-    pushed along its arcs together, once per length: start node s owns bit
-    field s of every node's int, so one step is one big-int addition per
-    arc, and c_n gains field j of node j for every j.  A count of walks of
-    length n is at most d^n for d the largest indegree in the component,
-    so with k nodes, fields of w bits with k * d^upto < 2^w never carry
-    into each other, and the sum of the diagonal fields fits in one field
-    too.  Start nodes go in batches that keep the packed vector within
-    _PACK_BITS bits.  No use of the characteristic polynomial.  Empty when
+    in, so tr(A^n) is the sum of the traces of X.cyclic_blocks.  A lone node
+    with d loops adds d^n.  Within a larger component, walk counts from all
+    start nodes are pushed along its arcs together, once per length: start
+    node s owns bit field s of every node's int, so one step is one big-int
+    addition per arc, and c_n gains field j of node j for every j.  A count
+    of walks of length n is at most d^n for d the largest indegree in the
+    component, so with k nodes, fields of w bits with k * d^upto < 2^w never
+    carry into each other, and the sum of the diagonal fields fits in one
+    field too.  Start nodes go in batches that keep the packed vector within
+    _PACK_BITS bits.  No use of the characteristic polynomial; empty when
     upto < 1.
     """
     if upto < 1:
         return []
-    idx = X.node_index
-    succ: list[list[int]] = [[] for _ in X.nodes]
-    for a in X.arcs:
-        succ[idx[a.src]].append(idx[a.tgt])
-    comps = _strong_components(succ)
-    comp_of = [0] * len(succ)
-    pos = [0] * len(succ)
-    for c, comp in enumerate(comps):
-        for i, v in enumerate(comp):
-            comp_of[v] = c
-            pos[v] = i
-    # preds[c][j] lists the source of every arc into node j of component c
-    # from inside c, parallel arcs repeated
-    preds = [[[] for _ in comp] for comp in comps]
-    for v, ws in enumerate(succ):
-        for w in ws:
-            if comp_of[v] == comp_of[w]:
-                preds[comp_of[w]][pos[w]].append(pos[v])
     counts = [0] * upto
-    for block in preds:
+    for block in X.cyclic_blocks:
         k = len(block)
-        if k == 1:   # a lone node with d loops adds d^n; without, nothing
+        if k == 1:   # a lone node with d loops adds d^n
             d, p = len(block[0]), 1
-            if d:
-                for n in range(upto):
-                    p *= d
-                    counts[n] += p
+            for n in range(upto):
+                p *= d
+                counts[n] += p
             continue
         w = (k * max(map(len, block)) ** upto).bit_length()
         size = max(1, _PACK_BITS // (k * w))
@@ -349,7 +286,7 @@ def zeta_series(X: Graph, N: int) -> ZetaSeries:
     against the exp form of the closed-walk counts."""
     if N < 0:
         raise InvalidInput("truncation order must be >= 0")
-    denom = reversed_char_poly(adjacency_matrix(X))
+    denom = graph_reversed_char_poly(X)
     # z_k = -sum_{i>=1} d_i z_{k-i}, since d_0 = det(I) = 1
     tail = denom.coefficients[1:]
     coeffs = [1]

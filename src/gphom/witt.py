@@ -10,15 +10,18 @@ infinite support are usable at any finite depth.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .errors import InvalidInput, NotRealizable
 from .graphs import Graph
-from .spectral import adjacency_matrix, char_poly, expand_log_exp, newton_power_sums
+from .spectral import expand_log_exp, graph_char_poly, newton_power_sums
 
 
 @lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    """Divisors of n ascending, by trial division up to sqrt(n); () if n < 1."""
+    small = [d for d in range(1, isqrt(max(n, 0)) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
 
 @lru_cache(maxsize=None)
@@ -99,18 +102,14 @@ class AlmostFiniteZSet:
 def from_graph(X: Graph) -> AlmostFiniteZSet:
     """The periodic bi-infinite paths of X: ghost components are tr(A^n).
 
-    They are the Newton power sums of det(xI - A), from one Berkowitz run on
-    first use, extended as deeper components are asked for.
+    They are the Newton power sums of det(xI - A), which X computes once,
+    extended as deeper components are asked for.
     """
-    a = None
     sums: list[int] = []
 
     def ghost(n: int) -> int:
-        nonlocal a
-        if a is None:
-            a = char_poly(adjacency_matrix(X))
         if n > len(sums):
-            newton_power_sums(a, n, sums)
+            newton_power_sums(graph_char_poly(X), n, sums)
         return sums[n - 1]
 
     return AlmostFiniteZSet(ghost, label="from-graph")

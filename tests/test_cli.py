@@ -68,6 +68,16 @@ def test_polynomials_computed_once_per_graph(capsys, monkeypatch):
     assert [len(X.nodes) for X in walks] == [5, 4]
 
 
+def test_graph_commands_build_no_dense_matrix(capsys, monkeypatch):
+    dense = count_calls(monkeypatch, spectral, "adjacency_matrix")
+    for argv in (["charpoly", "cross"], ["charpoly", "path:3000", "--json"],
+                 ["homotopy-eq", "cross", "uc4"], ["witt", "cross"],
+                 ["witt", "path:3000", "--upto", "3"]):
+        code, _, _ = invoke(capsys, *argv)
+        assert code == 0
+    assert dense == []
+
+
 def test_census_cross(capsys):
     code, out, _ = invoke(capsys, "census", "cross", "--upto", "6")
     assert code == 0
@@ -363,13 +373,14 @@ def test_error_contract(capsys, monkeypatch, tmp_path, argv, code):
 
 
 def assert_closed_stdout_ends_quietly(argv, first_line: bytes):
+    """Read the first line, which starts with `first_line`, then close."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "gphom.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(src)})
     # far more output than a pipe buffers, so writing must meet the close
-    assert proc.stdout.readline() == first_line
+    assert proc.stdout.readline().startswith(first_line)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -385,6 +396,24 @@ def test_closed_stdout_ends_quietly_on_witt():
     # about 300 kB of output, from a table with a header line
     assert_closed_stdout_ends_quietly(
         ["witt", "figure-eight", "--upto", "1000"], b"n\tc_n\ts_n\n")
+
+
+def test_closed_stdout_ends_quietly_on_zeta():
+    # about 220 kB of output, nearly all of it on the second line
+    assert_closed_stdout_ends_quietly(
+        ["zeta", "figure-eight", "--upto", "1200"], b"denominator: 1 - 2*u\n")
+
+
+def test_closed_stdout_ends_quietly_on_cofibrant_replace():
+    # about 570 kB of output, nearly all of it the replacement's JSON line
+    assert_closed_stdout_ends_quietly(
+        ["cofibrant-replace", "ucycle:3", "--upto", "12"], b"n\ts_n\n")
+
+
+def test_closed_stdout_ends_quietly_on_explore():
+    # about 2.5 MB of output, over 300 kB of it on the first line
+    assert_closed_stdout_ends_quietly(
+        ["explore", "--nodes", "3", "--arcs", "5", "--exhaustive"], b"1: g0, ")
 
 
 def test_budget_from_environment(capsys, monkeypatch, tmp_path):

@@ -9,9 +9,10 @@ from gphom.errors import IntegralityViolation, InternalInconsistency, InvalidInp
 from gphom.graphs import Arc, EMPTY, Graph, coproduct, cycle_graph, \
     cross_graph, dot_graph, figure_eight, path_graph, product, \
     undirected_cycle, enumerate_morphisms
-from gphom.homotopy import homotopy_equivalent
+from gphom.homotopy import homotopy_equivalent, signature
 from gphom.spectral import (IntPolynomial, adjacency_matrix, char_poly,
                             closed_walk_counts, cycle_count, expand_log_exp,
+                            graph_char_poly, graph_reversed_char_poly,
                             newton_power_sums, reversed_char_poly, zeta_series)
 from gphom.witt import from_graph
 
@@ -371,10 +372,12 @@ def test_packed_census_at_field_width_edges():
 @pytest.mark.parametrize("bits", [1, 40, 300, 3000])
 def test_packed_kernels_at_every_batch_boundary(monkeypatch, bits):
     """A bit budget of one bit packs one field per batch; the others split
-    the steps and start nodes at assorted boundaries."""
+    the steps and start nodes at assorted boundaries.  The components of
+    16 and 17 nodes take Berkowitz's sparse rows in batches short of the
+    whole block."""
     rnd = random.Random(bits)
     graphs = edge_graphs() + [multigraph(rnd, k) for k in (5, 9, 14)] + \
-        [layered_multigraph(rnd, 11)]
+        [layered_multigraph(rnd, 11), undirected_cycle(16), theta_graph(6, 7, 5)]
     expected = [(char_poly(adjacency_matrix(X)), closed_walk_counts(X, 9))
                 for X in graphs]
     monkeypatch.setattr(spectral, "_PACK_BITS", bits)
@@ -510,3 +513,114 @@ def test_census_sums_loop_nodes_beside_a_component():
         X = graph_of(len(ids), [(ids[u], ids[v]) for u, v in pairs])
         assert closed_walk_counts(X, 8) == \
             [dense_cycle_count(X, n) for n in range(1, 9)]
+
+
+# ---------------------------------------------------------------------------
+# One component pass per graph, read by both spectral routes: the runtime
+# cross-checks compare two readings of it, so only the dense oracles below
+# can catch a fault in the pass itself
+
+def routes(n: int, legs) -> Graph:
+    """Nodes 0..n-1, plus a chain of l arcs from u to v through new nodes
+    for every (u, v, l) in `legs`."""
+    pairs = []
+    for u, v, length in legs:
+        inner = list(range(n, n + length - 1))
+        n += length - 1
+        pairs += zip([u] + inner, inner + [v])
+    return graph_of(n, pairs)
+
+
+def shuffled(X: Graph, rnd: random.Random) -> Graph:
+    """X with its node numbers permuted and its arcs in random order, so
+    the components are listed out of node order."""
+    ids = list(range(len(X.nodes)))
+    rnd.shuffle(ids)
+    arcs = list(X.arcs)
+    rnd.shuffle(arcs)
+    return graph_of(len(ids), [(ids[int(a.src)], ids[int(a.tgt)]) for a in arcs])
+
+
+def theta_graph(p: int, q: int, r: int) -> Graph:
+    """Branch nodes 0 and 1, joined by chains of p and q arcs from 0 to 1
+    and one of r arcs back: det(I - uA) = 1 - u^(p+r) - u^(q+r)."""
+    return routes(2, [(0, 1, p), (0, 1, q), (1, 0, r)])
+
+
+def bouquet(lengths) -> Graph:
+    """Cycles of the given lengths through node 0: det(I - uA) is
+    1 - sum of u^l."""
+    return routes(1, [(0, 0, length) for length in lengths])
+
+
+def structured_graphs() -> list[tuple[Graph, IntPolynomial | None]]:
+    """Long chains, theta graphs, bouquets, a chain ending on a loop node,
+    parallel arcs and shuffled components, each with its det(I - uA) where
+    a closed form gives it."""
+    rnd = random.Random(34)
+    one = IntPolynomial((1,))
+    cases = [(routes(2, [(0, 1, 24)]), one),
+             (routes(1, [(0, 0, 23)]), IntPolynomial.from_list([1] + [0] * 22 + [-1])),
+             (routes(2, [(0, 1, 14), (1, 1, 1), (1, 1, 1)]), IntPolynomial((1, -2))),
+             (routes(2, [(0, 1, 1), (0, 1, 1), (1, 0, 1)]), IntPolynomial((1, 0, -2))),
+             (scrambled_components(), None)]
+    for _ in range(6):
+        p, q, r = (rnd.randint(1, 5) for _ in range(3))
+        det = [1] + [0] * (max(p, q) + r)
+        det[p + r] -= 1
+        det[q + r] -= 1
+        cases.append((theta_graph(p, q, r), IntPolynomial.from_list(det)))
+        lengths = [rnd.randint(1, 5) for _ in range(rnd.randint(1, 4))]
+        det = [1] + [0] * max(lengths)
+        for length in lengths:
+            det[length] -= 1
+        cases.append((bouquet(lengths), IntPolynomial.from_list(det)))
+    cases += [(shuffled(X, rnd), det) for X, det in cases]
+    # two parallel copies of a few arcs of each shuffled theta and bouquet
+    for X, _ in cases[-12:]:
+        extra = rnd.sample(X.arcs, 2)
+        pairs = [(a.src, a.tgt) for a in X.arcs + 2 * tuple(extra)]
+        cases.append((graph_of(len(X.nodes), pairs), None))
+    return cases + [(X, None) for X in planted_graphs()[1::5]]
+
+
+def test_graph_polynomial_matches_dense_oracle():
+    for X, closed_form in structured_graphs():
+        A = adjacency_matrix(X)
+        a = dense_char_poly(A)
+        det = IntPolynomial.from_list(reversed(a.coefficients))
+        assert graph_char_poly(X) == char_poly(A) == a
+        assert graph_reversed_char_poly(X) == reversed_char_poly(A) == det
+        assert closed_form in (None, det)
+
+
+def test_graph_census_matches_dense_oracle():
+    for X, _ in structured_graphs():
+        assert closed_walk_counts(X, 8) == \
+            [dense_cycle_count(X, n) for n in range(1, 9)]
+
+
+def test_graph_routes_build_no_dense_matrix(monkeypatch):
+    dense = count_calls(monkeypatch, spectral, "adjacency_matrix")
+    for X in (cross_graph(), scrambled_components(), path_graph(3000)):
+        signature(X)
+        zeta_series(X, 8)
+        from_graph(X).ghost(5)
+    assert dense == []
+
+
+def test_signature_is_kept_on_the_instance(monkeypatch):
+    berkowitz = count_calls(monkeypatch, spectral, "_berkowitz")
+    X = cross_graph()
+    assert signature(X) == signature(X)
+    assert len(berkowitz) == 1
+    # kept per instance, not per equal graph
+    assert signature(cross_graph()) == signature(X)
+    assert len(berkowitz) == 2
+
+
+def test_homotopy_equivalent_counts_walks_on_every_call(monkeypatch):
+    X, Y = cross_graph(), undirected_cycle(4)
+    walks = count_calls(monkeypatch, spectral, "closed_walk_counts")
+    assert homotopy_equivalent(X, Y) and homotopy_equivalent(X, Y)
+    assert [G is H for G, H in zip(walks, [X, Y, X, Y])] == [True] * 4

@@ -24,6 +24,9 @@ def test_mobius_values():
 def test_divisors():
     assert divisors(12) == (1, 2, 3, 4, 6, 12)
     assert divisors(1) == (1,)
+    # trial division up to sqrt(n) against trial division up to n
+    for n in range(-2, 3000):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 def test_ghost_to_witt_examples():
