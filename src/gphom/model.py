@@ -285,25 +285,17 @@ def factorize_bounded(f: GraphMorphism, depth: int):
 # ---------------------------------------------------------------------------
 # Cycle resolution (cofibrant replacement, truncated)
 
-def aperiodic_necklaces(X: Graph, n: int,
-                        budget: Budget | None = None) -> list[tuple[str, ...]]:
-    """One representative per rotation class of aperiodic closed walks of
-    length n, in sorted order: the walk's least rotation, comparing arcs by
-    id string.  A walk (a_0..a_{n-1}) has src(a_i) = tgt(a_{i+1 mod n}).
-
-    The least rotation of an aperiodic word is its Lyndon word, so these
-    are the closed walks that are Lyndon words.  They are generated
-    directly, depth first with an explicit stack: every prefix of a Lyndon
-    word is a prenecklace, and a prenecklace w[:t] of period p extends by
-    an arc b iff b >= w[t - p], keeping period p when equal and taking
-    period t + 1 when greater (Fredricksen-Kessler-Maiorana).  A length-n
-    prefix is Lyndon iff its period is n.  One budget step is spent per
-    arc tried.
+def _lyndon_walks(X: Graph, N: int, budget: Budget):
+    """Every closed walk of length at most N that is a Lyndon word over the
+    arcs ordered by id string, in sorted order; a walk (a_0..a_{t-1}) has
+    src(a_i) = tgt(a_{i+1 mod t}).  Depth first with an explicit stack:
+    every prefix of a Lyndon word is a prenecklace, and a prenecklace w[:t]
+    of period p extends by an arc b iff b >= w[t - p], keeping period p
+    when equal and taking period t + 1 when greater
+    (Fredricksen-Kessler-Maiorana).  A prefix of length t is Lyndon iff its
+    period is t.  The tree is the same for every length, so one walk to
+    depth N finds them all.  One budget step is spent per arc tried.
     """
-    if n < 1:
-        raise InvalidInput("walk length must be >= 1")
-    budget = budget or Budget()
-
     def descending(arcs):
         # pushed largest first, so the stack pops walks in ascending order
         return sorted(arcs, key=lambda a: a.id, reverse=True)
@@ -312,21 +304,28 @@ def aperiodic_necklaces(X: Graph, n: int,
     stack = [(0, 1, a) for a in descending(X.arcs)]    # (index, period, arc)
     budget.spend(len(stack))
     walk: list[Arc] = []
-    reps: list[tuple[str, ...]] = []
     while stack:
         t, p, a = stack.pop()
         del walk[t:]
         walk.append(a)
-        if t + 1 < n:
+        if p == t + 1 and a.src == walk[0].tgt:
+            yield tuple(b.id for b in walk)
+        if t + 1 < N:
             least = walk[t + 1 - p].id
             for b in follow[a.src]:
                 budget.spend()
                 if b.id < least:
                     break
                 stack.append((t + 1, p if b.id == least else t + 2, b))
-        elif p == n and a.src == walk[0].tgt:
-            reps.append(tuple(b.id for b in walk))
-    return reps
+
+
+def aperiodic_necklaces(X: Graph, n: int,
+                        budget: Budget | None = None) -> list[tuple[str, ...]]:
+    """One representative per rotation class of aperiodic closed walks of
+    length n, in sorted order: the walk's least rotation, its Lyndon word."""
+    if n < 1:
+        raise InvalidInput("walk length must be >= 1")
+    return [w for w in _lyndon_walks(X, n, budget or Budget()) if len(w) == n]
 
 
 @dataclass(frozen=True, repr=False)
@@ -344,26 +343,27 @@ def cofibrant_replacement(X: Graph, N: int,
     """Disjoint union of s_n copies of C_n for n <= N, with counit into X.
 
     Each copy is carried by a distinct aperiodic necklace, and the counit
-    sends it around that necklace's Lyndon walk; the per-n counts are
-    cross-checked against the Witt coordinates of X.
+    sends it around that necklace's Lyndon walk.  The size, sum n*s_n nodes
+    by the Witt coordinates of X, is spent on `budget` before the search,
+    and the per-n counts are cross-checked against them.
     """
     if N < 1:
         raise InvalidInput("resolution bound must be >= 1")
     budget = budget or Budget()
-    afz = from_graph(X)
+    summary = dict(enumerate(from_graph(X).witt_row(N), start=1))
+    budget.spend(sum(n * s for n, s in summary.items()))
+    reps: dict[int, list[tuple[str, ...]]] = {n: [] for n in summary}
+    for walk in _lyndon_walks(X, N, budget):
+        reps[len(walk)].append(walk)
     nodes: list[str] = []
     arcs: list[Arc] = []
     node_map: dict[str, str] = {}
     arc_map: dict[str, str] = {}
-    summary: dict[int, int] = {}
-
-    for n in range(1, N + 1):
-        reps = aperiodic_necklaces(X, n, budget)
-        if len(reps) != afz.witt(n):
+    for n, s in summary.items():
+        if len(reps[n]) != s:
             raise InternalInconsistency(
-                f"necklace count {len(reps)} != witt coordinate {afz.witt(n)} at n={n}")
-        summary[n] = len(reps)
-        for k, walk in enumerate(reps):
+                f"necklace count {len(reps[n])} != witt coordinate {s} at n={n}")
+        for k, walk in enumerate(reps[n]):
             prefix = f"n{n}c{k}:"
             for i in range(n):
                 nodes.append(f"{prefix}{i}")

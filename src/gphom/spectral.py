@@ -282,22 +282,19 @@ def expand_log_exp(ghost, N: int) -> list[int]:
 
 
 def zeta_series(X: Graph, N: int) -> ZetaSeries:
-    """Zeta series of X to order N: the inverse of det(I - uA), checked
-    against the exp form of the closed-walk counts."""
+    """Zeta series of X to order N: the inverse Z of D = det(I - uA), checked
+    against the closed-walk counts c_n, the coefficients of u Z'/Z = -u D' Z."""
     if N < 0:
         raise InvalidInput("truncation order must be >= 0")
     denom = graph_reversed_char_poly(X)
-    # z_k = -sum_{i>=1} d_i z_{k-i}, since d_0 = det(I) = 1
     tail = denom.coefficients[1:]
+    slopes = [i * d for i, d in enumerate(tail, start=1)]
     coeffs = [1]
-    for _ in range(N):
+    for n, c in enumerate(closed_walk_counts(X, N), start=1):
+        if c != -sum(map(mul, slopes, reversed(coeffs))):   # -u D' Z at u^n
+            raise IntegralityViolation(f"walk count c_{n} disagrees with det(I - uA)")
+        # z_n = -sum_{i>=1} d_i z_{n-i}, since d_0 = det(I) = 1
         coeffs.append(-sum(map(mul, tail, reversed(coeffs))))
-    counts = closed_walk_counts(X, N)
-    exp_form = expand_log_exp(lambda n: counts[n - 1], N)
-    if exp_form != coeffs:
-        k = next(k for k, (a, b) in enumerate(zip(exp_form, coeffs)) if a != b)
-        raise IntegralityViolation(
-            f"exp form of the walk counts differs from 1/det(I - uA) at order {k}")
     return ZetaSeries(denom, N, tuple(coeffs))
 
 
@@ -307,17 +304,18 @@ def newton_power_sums(a: IntPolynomial, upto: int,
 
     Newton's identities: p_k = -k*b_{n-k} - sum_{i=1}^{k-1} b_{n-i} p_{k-i},
     with b the coefficients of a (b_n = 1 leading) and b_j = 0 for j < 0.
-    Exact over ints.  Passing the list an earlier call returned as `p`
-    extends it in place.
+    The zeros b_j, j < m, of a factor x^m of a are left out.  Exact over
+    ints.  Passing the list an earlier call returned as `p` extends it.
     """
     n = a.degree
     if n < 0 or a[n] != 1:
         raise InvalidInput("expected a monic polynomial")
     p = [] if p is None else p
-    b = a.coefficients[-2::-1]   # b_{n-1}, b_{n-2}, ..., b_0
+    m = next(j for j, x in enumerate(a.coefficients) if x)   # x^m divides a
+    b = a.coefficients[m:-1][::-1]   # b_{n-1}, b_{n-2}, ..., b_m
     for k in range(len(p) + 1, upto + 1):
         acc = -sum(map(mul, b, reversed(p)))
-        if k <= n:
+        if k <= len(b):
             acc -= k * b[k - 1]
         p.append(acc)
     return p

@@ -49,6 +49,8 @@ def ghost_to_witt(c, n: int) -> int:
 
     `c` maps divisors of n to integers (a callable or a mapping).
     """
+    if n < 1:
+        raise InvalidInput("witt index must be >= 1")
     get = c if callable(c) else lambda d: c[d]
     total = sum(mobius(n // d) * get(d) for d in divisors(n))
     if total % n != 0:
@@ -103,13 +105,13 @@ def from_graph(X: Graph) -> AlmostFiniteZSet:
     """The periodic bi-infinite paths of X: ghost components are tr(A^n).
 
     They are the Newton power sums of det(xI - A), which X computes once,
-    extended as deeper components are asked for.
+    extended to at least twice their depth when a deeper one is asked for.
     """
     sums: list[int] = []
 
     def ghost(n: int) -> int:
         if n > len(sums):
-            newton_power_sums(graph_char_poly(X), n, sums)
+            newton_power_sums(graph_char_poly(X), max(n, 2 * len(sums)), sums)
         return sums[n - 1]
 
     return AlmostFiniteZSet(ghost, label="from-graph")

@@ -218,11 +218,19 @@ def test_large_graph_output_pinned(capsys):
 
 
 def test_cofibrant_replace_deeper_than_recursion_limit(capsys):
-    N = sys.getrecursionlimit() + 100
-    code, out, _ = invoke(capsys, "cofibrant-replace", "cycle:1", "--upto", str(N))
-    assert code == 0
-    rows = out.splitlines()[1:N + 1]
-    assert rows == ["1\t1"] + [f"{n}\t0" for n in range(2, N + 1)]
+    # 20000: one necklace search to depth N, about N steps of the budget
+    for N in (sys.getrecursionlimit() + 100, 20000):
+        code, out, _ = invoke(capsys, "cofibrant-replace", "cycle:1", "--upto", str(N))
+        assert code == 0
+        rows = out.splitlines()[1:N + 1]
+        assert rows == ["1\t1"] + [f"{n}\t0" for n in range(2, N + 1)]
+
+
+def test_cofibrant_replace_too_large_is_refused(capsys):
+    # sum n*s_n is about 2.9 * 10^12 nodes: over the budget before any search
+    code, out, err = invoke(capsys, "cofibrant-replace", "cross", "--upto", "40")
+    assert code == 3 and out == ""
+    assert "budget" in err
 
 
 def test_oversized_builtin_exit_code(capsys, monkeypatch):

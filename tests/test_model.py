@@ -10,7 +10,7 @@ from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
                           arrow_graph, connected_components, coproduct,
                           cross_graph, cycle_graph, dot_graph,
                           enumerate_morphisms, figure_eight, identity,
-                          is_isomorphic, path_graph)
+                          is_isomorphic, path_graph, undirected_cycle)
 from gphom.homotopy import enumerate_small_graphs
 from gphom.model import (GeneratorSet, LiftingProblem, aperiodic_necklaces,
                          cofibrant_replacement, cycle_fold, cycle_projection,
@@ -457,3 +457,62 @@ def test_aperiodic_necklace_representatives_are_least_rotations():
     X = figure_eight()
     reps = aperiodic_necklaces(X, 2)
     assert reps == [("a", "b")]
+
+
+def test_aperiodic_necklaces_budget_pinned():
+    # one step per first arc and per arc tried below depth n
+    for X, n, used in ((cross_graph(), 6, 105), (figure_eight(), 10, 590),
+                       (undirected_cycle(3), 8, 350)):
+        budget = Budget()
+        aperiodic_necklaces(X, n, budget)
+        assert budget.used == used
+
+
+def per_length_resolution(X: Graph, N: int):
+    """The cycle resolution assembled from one necklace search per length:
+    (summary, nodes, arcs, node map, arc map)."""
+    nodes, arcs, nm, am, summary = [], [], {}, {}, {}
+    for n in range(1, N + 1):
+        reps = aperiodic_necklaces(X, n)
+        summary[n] = len(reps)
+        for k, walk in enumerate(reps):
+            for i in range(n):
+                v = f"n{n}c{k}:{i}"
+                nodes.append(v)
+                arcs.append(Arc(v, f"n{n}c{k}:{(i + 1) % n}", v))
+                am[v] = walk[i]
+                nm[v] = X.arc_by_id[walk[i]].tgt
+    return summary, tuple(nodes), tuple(arcs), nm, am
+
+
+def test_one_pass_resolution_matches_per_length_searches(small_corpus):
+    for X in small_corpus:
+        for N in range(1, 6):
+            res = cofibrant_replacement(X, N)
+            assert (res.witt_summary, res.graph.nodes, res.graph.arcs,
+                    res.counit.node_map, res.counit.arc_map) == \
+                per_length_resolution(X, N)
+
+
+def test_cofibrant_replacement_of_loop_is_linear():
+    # the size 1, the first arc, then one arc tried per level below N
+    budget = Budget(10**5)
+    res = cofibrant_replacement(cycle_graph(1), 20000, budget)
+    assert res.graph.nodes == ("n1c0:0",) and res.counit.arc_map == {"n1c0:0": "0"}
+    assert res.witt_summary == {1: 1, **{n: 0 for n in range(2, 20001)}}
+    assert budget.used == 20001
+
+
+def test_cofibrant_replacement_spends_its_size_first():
+    # sum n*s_n = 632 nodes for the cross to order 8, then one search to
+    # depth 8, which spends what the length-8 necklaces alone spend
+    budget, search = Budget(), Budget()
+    cofibrant_replacement(cross_graph(), 8, budget)
+    aperiodic_necklaces(cross_graph(), 8, search)
+    assert budget.used == 632 + search.used == 934
+    # about 2.9 * 10^12 nodes to order 40: refused before any necklace is built
+    budget = Budget(10**7)
+    with pytest.raises(BudgetExceeded):
+        cofibrant_replacement(cross_graph(), 40, budget)
+    S = from_graph(cross_graph())
+    assert budget.used == sum(n * S.witt(n) for n in range(1, 41)) > 10**12

@@ -181,6 +181,22 @@ def test_ghost_row_extends_past_degree():
         assert S.ghost_row(N) == oracle
 
 
+def test_ghost_row_with_factor_x_to_the_m():
+    # det(xI - A) = x^m * q(x): whiskered cycles, and a path beside a cycle
+    tree = [("0", "w0"), ("w0", "w1"), ("w0", "w2"), ("1", "w3")]
+    graphs = [Graph(cycle_graph(3).nodes + tuple(f"w{i}" for i in range(4)),
+                    cycle_graph(3).arcs + tuple(Arc(f"t{i}", s, t)
+                                                for i, (s, t) in enumerate(tree))),
+              coproduct(path_graph(5), cycle_graph(2)),
+              coproduct(path_graph(3), figure_eight())]
+    for X in graphs:
+        N = 3 * len(X.nodes)
+        oracle = [dense_cycle_count(X, n) for n in range(1, N + 1)]
+        assert graph_char_poly(X)[0] == 0
+        assert from_graph(X).ghost_row(N) == oracle
+        assert newton_power_sums(char_poly(adjacency_matrix(X)), N) == oracle
+
+
 def test_newton_consistency():
     rnd = random.Random(10)
     for _ in range(30):
@@ -264,6 +280,21 @@ def test_zeta_cross_check_fires(monkeypatch, delta):
     perturb_walk_counts(monkeypatch, X, delta)
     with pytest.raises(IntegralityViolation):
         zeta_series(X, 8)
+
+
+def test_zeta_check_fires_on_the_polynomial_route(monkeypatch):
+    # the walk counts stay intact; det(I - uA) gains u^k at k <= N
+    X = cross_graph()
+    real = spectral.graph_reversed_char_poly
+    for k in (1, 2, 5):
+        def fake(G, k=k):
+            d = list(real(G).coefficients) + [0] * k
+            d[k] += 1
+            return IntPolynomial.from_list(d)
+
+        monkeypatch.setattr(spectral, "graph_reversed_char_poly", fake)
+        with pytest.raises(IntegralityViolation):
+            zeta_series(X, 8)
 
 
 def test_homotopy_cross_check_fires(monkeypatch):

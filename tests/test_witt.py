@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gphom.errors import NotRealizable
+from gphom.errors import InvalidInput, NotRealizable
 from gphom.graphs import coproduct, cross_graph, cycle_graph, figure_eight, product
 from gphom.witt import (AlmostFiniteZSet, ZERO, burnside_add, burnside_mul,
                         divisors, from_ghost, from_graph, from_witt,
@@ -97,6 +97,16 @@ def test_not_realizable():
     negative = from_ghost({1: 3, 2: 1})
     with pytest.raises(NotRealizable):
         negative.witt(2)
+
+
+def test_witt_index_must_be_positive():
+    S = from_graph(cross_graph())
+    for bad in (lambda: S.witt(0), lambda: S.witt(-3),
+                lambda: from_witt({1: 1}).witt(0), lambda: ghost_to_witt({}, 0),
+                lambda: ghost_to_witt(lambda d: 1, -2)):
+        with pytest.raises(InvalidInput):
+            bad()
+    assert S.witt(2) == 4
 
 
 def test_burnside_add_matches_coproduct():
