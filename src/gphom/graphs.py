@@ -25,10 +25,24 @@ class Arc:
     tgt: str
 
 
+def _unvalidated(cls, **fields):
+    """cls(**fields) for a frozen dataclass, skipping __init__ and so its
+    __post_init__ checks; filling __dict__ beats object.__setattr__ per field."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Graph:
     nodes: tuple[str, ...]
     arcs: tuple[Arc, ...]
+
+    @classmethod
+    def _trusted(cls, nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> "Graph":
+        """Graph(nodes, arcs) unvalidated.  The caller must guarantee distinct
+        node ids, distinct arc ids, and both endpoints of every arc in nodes."""
+        return _unvalidated(cls, nodes=nodes, arcs=arcs)
 
     def __post_init__(self):
         node_set = set(self.nodes)
@@ -89,6 +103,15 @@ class GraphMorphism:
     node_map: dict[str, str] = field(hash=False)
     arc_map: dict[str, str] = field(hash=False)
 
+    @classmethod
+    def _trusted(cls, source: Graph, target: Graph, node_map: dict[str, str],
+                 arc_map: dict[str, str]) -> "GraphMorphism":
+        """GraphMorphism(...) unvalidated.  The caller must guarantee that both
+        maps are total on the source, land in the target, and send every arc
+        to one from the image of its source to the image of its target."""
+        return _unvalidated(cls, source=source, target=target,
+                            node_map=node_map, arc_map=arc_map)
+
     def __post_init__(self):
         if set(self.node_map) != set(self.source.nodes):
             raise InvalidGraph("node_map not total on source nodes")
@@ -112,7 +135,7 @@ class GraphMorphism:
         """self after other: (self . other)(x) = self(other(x))."""
         if other.target is not self.source and other.target != self.source:
             raise InvalidGraph("composition mismatch")
-        return GraphMorphism(
+        return GraphMorphism._trusted(
             other.source,
             self.target,
             {v: self.node_map[w] for v, w in other.node_map.items()},
@@ -132,8 +155,8 @@ class GraphMorphism:
 
 
 def identity(X: Graph) -> GraphMorphism:
-    return GraphMorphism(X, X, {v: v for v in X.nodes},
-                         {a.id: a.id for a in X.arcs})
+    return GraphMorphism._trusted(X, X, {v: v for v in X.nodes},
+                                  {a.id: a.id for a in X.arcs})
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +264,18 @@ def pullback(f: GraphMorphism, g: GraphMorphism):
             arcs.append(Arc(p, _pair(a.src, b.src), _pair(a.tgt, b.tgt)))
             left_arcs[p] = a.id
             right_arcs[p] = b.id
-    P = Graph(tuple(nodes), tuple(arcs))
-    return (P, GraphMorphism(P, X, left_nodes, left_arcs),
-            GraphMorphism(P, Z, right_nodes, right_arcs))
+    P = Graph._trusted(tuple(nodes), tuple(arcs))
+    return (P, GraphMorphism._trusted(P, X, left_nodes, left_arcs),
+            GraphMorphism._trusted(P, Z, right_nodes, right_arcs))
+
+
+_TERMINAL = cycle_graph(1)
 
 
 def _to_terminal(X: Graph) -> GraphMorphism:
     """The unique morphism to C_1, the terminal graph (one node, one loop)."""
-    return GraphMorphism(X, cycle_graph(1), {v: "0" for v in X.nodes},
-                         {a.id: "0" for a in X.arcs})
+    return GraphMorphism._trusted(X, _TERMINAL, {v: "0" for v in X.nodes},
+                                  {a.id: "0" for a in X.arcs})
 
 
 def product(X: Graph, Y: Graph) -> Graph:
@@ -262,11 +288,11 @@ def coproduct_with_injections(X: Graph, Y: Graph):
     nodes = tuple(f"0:{v}" for v in X.nodes) + tuple(f"1:{v}" for v in Y.nodes)
     arcs = tuple(Arc(f"0:{a.id}", f"0:{a.src}", f"0:{a.tgt}") for a in X.arcs) \
         + tuple(Arc(f"1:{a.id}", f"1:{a.src}", f"1:{a.tgt}") for a in Y.arcs)
-    G = Graph(nodes, arcs)
-    inl = GraphMorphism(X, G, {v: f"0:{v}" for v in X.nodes},
-                        {a.id: f"0:{a.id}" for a in X.arcs})
-    inr = GraphMorphism(Y, G, {v: f"1:{v}" for v in Y.nodes},
-                        {a.id: f"1:{a.id}" for a in Y.arcs})
+    G = Graph._trusted(nodes, arcs)
+    inl = GraphMorphism._trusted(X, G, {v: f"0:{v}" for v in X.nodes},
+                                 {a.id: f"0:{a.id}" for a in X.arcs})
+    inr = GraphMorphism._trusted(Y, G, {v: f"1:{v}" for v in Y.nodes},
+                                 {a.id: f"1:{a.id}" for a in Y.arcs})
     return G, inl, inr
 
 
@@ -327,10 +353,10 @@ def pushout(f: GraphMorphism, g: GraphMorphism):
             continue
         seen.add(rep)
         q_arcs.append(Arc(rep, node_rep[a.src], node_rep[a.tgt]))
-    Q = Graph(q_nodes, tuple(sorted(q_arcs, key=lambda a: a.id)))
+    Q = Graph._trusted(q_nodes, tuple(sorted(q_arcs, key=lambda a: a.id)))
 
     def cocone(inj: GraphMorphism) -> GraphMorphism:
-        return GraphMorphism(
+        return GraphMorphism._trusted(
             inj.source, Q,
             {v: node_rep[inj.node_map[v]] for v in inj.source.nodes},
             {a: arc_rep[inj.arc_map[a]] for a in inj.arc_map})
@@ -478,13 +504,13 @@ def _morphisms_over(X: Graph, Y: Graph, over_x, over_y,
 
     def extensions():
         if not free:
-            yield GraphMorphism(X, Y, dict(node_map), dict(arc_map))
+            yield GraphMorphism._trusted(X, Y, dict(node_map), dict(arc_map))
             return
         for images in itertools.product(*free_fibres):
             budget.spend()
             nm = dict(node_map)
             nm.update(zip(free, images))
-            yield GraphMorphism(X, Y, nm, dict(arc_map))
+            yield GraphMorphism._trusted(X, Y, nm, dict(arc_map))
 
     if not todo:
         yield from extensions()
@@ -662,7 +688,7 @@ def is_isomorphic(X: Graph, Y: Graph,
         k = counters.get(key, 0)
         counters[key] = k + 1
         arc_map[a.id] = by_pair_y[key][k]
-    return True, GraphMorphism(X, Y, node_map, arc_map)
+    return True, GraphMorphism._trusted(X, Y, node_map, arc_map)
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,8 @@ def factorize_bounded(f: GraphMorphism, depth: int):
     per lifting defect per round, breadth-first.
 
     Returns (w, p, complete); complete is True iff p came out Surjecting
-    within `depth` rounds.
+    within `depth` rounds.  Whisker k is the node w{k} and the arc wa{k},
+    skipping any k whose ids X already uses.
     """
     X, Y = f.source, f.target
     W = X
@@ -268,6 +269,8 @@ def factorize_bounded(f: GraphMorphism, depth: int):
         new_nodes = list(W.nodes)
         new_arcs = list(W.arcs)
         for x, b in defects:
+            while f"w{fresh}" in X.node_index or f"wa{fresh}" in X.arc_by_id:
+                fresh += 1
             node_id = f"w{fresh}"
             arc_id = f"wa{fresh}"
             fresh += 1
@@ -275,10 +278,10 @@ def factorize_bounded(f: GraphMorphism, depth: int):
             new_arcs.append(Arc(arc_id, x, node_id))
             p_nodes[node_id] = b.tgt
             p_arcs[arc_id] = b.id
-        W = Graph(tuple(new_nodes), tuple(new_arcs))
+        W = Graph._trusted(tuple(new_nodes), tuple(new_arcs))
 
-    w = GraphMorphism(X, W, w_nodes, w_arcs)
-    p = GraphMorphism(W, Y, p_nodes, p_arcs)
+    w = GraphMorphism._trusted(X, W, w_nodes, w_arcs)
+    p = GraphMorphism._trusted(W, Y, p_nodes, p_arcs)
     return w, p, is_surjecting(p)
 
 
@@ -371,6 +374,6 @@ def cofibrant_replacement(X: Graph, N: int,
                 arc_map[f"{prefix}{i}"] = walk[i]
                 node_map[f"{prefix}{i}"] = X.arc_by_id[walk[i]].tgt
 
-    C = Graph(tuple(nodes), tuple(arcs))
-    counit = GraphMorphism(C, X, node_map, arc_map)
+    C = Graph._trusted(tuple(nodes), tuple(arcs))
+    counit = GraphMorphism._trusted(C, X, node_map, arc_map)
     return CycleResolution(C, counit, summary)

@@ -189,6 +189,25 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "trusted_construction: run with the library's unvalidated "
+        "Graph._trusted and GraphMorphism._trusted, not the re-validating ones")
+
+
+@pytest.fixture(autouse=True)
+def revalidate_trusted(request, monkeypatch):
+    """Build every graph and morphism that the library builds through
+    _trusted by the validating constructor instead, so that each test also
+    checks every internal construction it reaches.  A test marked
+    trusted_construction keeps the unvalidated path."""
+    if request.node.get_closest_marker("trusted_construction"):
+        return
+    for cls in (Graph, GraphMorphism):
+        monkeypatch.setattr(cls, "_trusted",
+                            classmethod(lambda cls, *fields: cls(*fields)))
+
+
 ACCEPTANCE_LINES: list[str] = []
 
 

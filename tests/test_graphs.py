@@ -75,6 +75,16 @@ def test_morphism_commuting_squares_checked():
     assert ident.node_map == {"0": "0", "1": "1"}
 
 
+def test_trusted_constructors_validate_under_the_test_suite():
+    # conftest.revalidate_trusted routes _trusted through the validating
+    # constructor, so every internal construction is checked in every test
+    C2 = cycle_graph(2)
+    with pytest.raises(InvalidGraph):
+        GraphMorphism._trusted(C2, C2, {"0": "0", "1": "1"}, {"0": "1", "1": "0"})
+    with pytest.raises(InvalidGraph):
+        Graph._trusted(("0", "0"), ())
+
+
 def test_product_c2_c3_is_c6():
     P = product(cycle_graph(2), cycle_graph(3))
     ok, witness = is_isomorphic(P, cycle_graph(6))

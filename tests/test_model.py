@@ -10,7 +10,8 @@ from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
                           arrow_graph, connected_components, coproduct,
                           cross_graph, cycle_graph, dot_graph,
                           enumerate_morphisms, figure_eight, identity,
-                          is_isomorphic, path_graph, undirected_cycle)
+                          is_isomorphic, path_graph, product, pullback,
+                          pushout, undirected_cycle)
 from gphom.homotopy import enumerate_small_graphs
 from gphom.model import (GeneratorSet, LiftingProblem, aperiodic_necklaces,
                          cofibrant_replacement, cycle_fold, cycle_projection,
@@ -21,7 +22,8 @@ from gphom.model import (GeneratorSet, LiftingProblem, aperiodic_necklaces,
 from gphom.witt import from_graph
 
 from conftest import (brute_force_acyclic_bounded, brute_force_morphisms,
-                      brute_force_necklaces, random_graph)
+                      brute_force_necklaces, count_calls, random_graph,
+                      relabel)
 
 
 def attach_whiskers(X: Graph, rnd: random.Random, count: int) -> GraphMorphism:
@@ -385,6 +387,54 @@ def test_factorization_soundness_random():
         if complete:
             assert is_surjecting(p)
         done += 1
+
+
+@pytest.mark.parametrize("f, nodes", [
+    # nothing collides: the whiskers are w0, w1, ... as they always were
+    (GraphMorphism(dot_graph(), cycle_graph(1), {"0": "0"}, {}),
+     ("0", "w0", "w1")),
+    # the source's node is w0, and the loop below needs a whisker per round
+    (GraphMorphism(Graph(("w0",), ()), Graph(("y",), (Arc("b", "y", "y"),)),
+                   {"w0": "y"}, {}),
+     ("w0", "w1", "w2")),
+    # the source's loop is wa0, and a second loop below needs a whisker
+    (GraphMorphism(Graph(("x",), (Arc("wa0", "x", "x"),)),
+                   Graph(("y",), (Arc("b0", "y", "y"), Arc("b1", "y", "y"))),
+                   {"x": "y"}, {"wa0": "b0"}),
+     ("x", "w1", "w2", "w3")),
+])
+def test_factorize_whisker_ids_avoid_the_source_ids(f, nodes):
+    w, p, complete = factorize_bounded(f, 2)
+    W = w.target
+    assert not complete and W.nodes == nodes
+    assert len({a.id for a in W.arcs}) == len(W.arcs)
+    assert is_whiskering(w)
+    assert morphism_key(p.compose(w)) == morphism_key(f)
+
+
+@pytest.mark.trusted_construction
+def test_library_constructions_are_not_validated_again(monkeypatch):
+    """Only what a user builds is validated: the searches and constructions
+    below run no Graph or GraphMorphism validation beyond their inputs'."""
+    C2, C6, X = cycle_graph(2), cycle_graph(6), undirected_cycle(3)
+    # unmarked tests validate here; see conftest.revalidate_trusted
+    GraphMorphism._trusted(C2, C2, {"0": "0", "1": "1"}, {"0": "1", "1": "0"})
+    to_loop = GraphMorphism(C6, cycle_graph(1), dict.fromkeys(C6.nodes, "0"),
+                            dict.fromkeys(C6.arc_by_id, "0"))
+    square = LiftingProblem(left=initial_to_cycle(6), right=to_loop,
+                            top=GraphMorphism(EMPTY, C6, {}, {}),
+                            bottom=to_loop)
+    s, Y, E = source_inclusion(), relabel(X, random.Random(5)), figure_eight()
+    graphs = count_calls(monkeypatch, Graph, "__post_init__")
+    morphisms = count_calls(monkeypatch, GraphMorphism, "__post_init__")
+    homs = enumerate_morphisms(C6, X)
+    results = [pullback(homs[0], homs[-1]), product(C6, X),
+               pushout(homs[0], homs[1]), find_lift(square),
+               factorize_bounded(s, 3), cofibrant_replacement(E, 4),
+               is_isomorphic(X, Y)]
+    assert (graphs, morphisms) == ([], [])
+    # tr(A^6) = 2^6 + 2 closed walks: the eigenvalues of A are 2, -1, -1
+    assert len(homs) == 66 and results[3] is not None and results[-1][0]
 
 
 # ---------------------------------------------------------------------------
