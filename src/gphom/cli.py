@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative verdict (e.g. NOT homotopy equivalent,
-NO-LIFT), 2 input error, 3 search budget exhausted.
+NO-LIFT), 2 input or other library error, 3 search budget exhausted.
 
 Graph arguments are either JSON files or built-in names: cross, uc4,
 figure-eight, dot, arrow, empty, cycle:n, path:n, ucycle:n.  The sized
@@ -344,7 +344,7 @@ def run(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (InvalidInput, GphomError) as e:
+    except GphomError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidGraph, InvalidInput, NotAnNGraph
-from .graphs import Arc, Graph, GraphMorphism
+from .graphs import Arc, Graph, GraphMorphism, _periodic
 
 
 @dataclass(frozen=True, repr=False)
@@ -107,21 +107,11 @@ def graph_to_nset(X: Graph) -> FinNSet:
 
 
 def periodic_part(S: FinNSet) -> FinZSet:
-    """The sub-Z-set of elements with sigma^n(x) = x for some n > 0.
-
-    In a finite N-set every periodic element has period <= |S|, so the
-    quantifier is decided at that bound.
-    """
-    bound = len(S.elements)
-    periodic = []
-    for x in S.elements:
-        y = x
-        for _ in range(bound):
-            y = S.sigma[y]
-            if y == x:
-                periodic.append(x)
-                break
-    return FinZSet(tuple(periodic), {x: S.sigma[x] for x in periodic})
+    """The sub-Z-set of elements with sigma^n(x) = x for some n > 0: those
+    on a cycle of sigma, in the order of S.elements."""
+    cyclic = _periodic(S.sigma)
+    periodic = tuple(x for x in S.elements if x in cyclic)
+    return FinZSet(periodic, {x: S.sigma[x] for x in periodic})
 
 
 def is_nset_acyclic(f: NSetMap) -> bool:
@@ -130,9 +120,9 @@ def is_nset_acyclic(f: NSetMap) -> bool:
     Those points make up the periodic parts, which f maps into each other,
     so this is exactly: f restricted to the periodic parts is a bijection.
     """
-    P = periodic_part(f.source)
-    return zset_is_acyclic(NSetMap(P, periodic_part(f.target),
-                                   {x: f(x) for x in P.elements}))
+    P = _periodic(f.source.sigma)
+    image = {f.map[x] for x in P}
+    return len(image) == len(P) and image == _periodic(f.target.sigma)
 
 
 def is_nset_surjecting(f: NSetMap) -> bool:
@@ -153,25 +143,12 @@ def is_nset_surjecting(f: NSetMap) -> bool:
 def is_nset_whiskering(f: NSetMap) -> bool:
     """f injective and every element outside the image trajects into it.
 
-    The trajectory test is bounded by |T|, which suffices for finite sets.
+    The image is closed under sigma, so that is: sigma closes no cycle
+    outside the image.
     """
     image = set(f.map.values())
-    if len(image) != len(f.map):
-        return False
-    bound = len(f.target.elements)
-    for y in f.target.elements:
-        if y in image:
-            continue
-        z = y
-        ok = False
-        for _ in range(bound):
-            z = f.target.sigma[z]
-            if z in image:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return len(image) == len(f.map) and not _periodic(
+        {y: z for y, z in f.target.sigma.items() if y not in image})
 
 
 def classify_nset_map(f: NSetMap) -> dict[str, bool]:

@@ -379,6 +379,25 @@ def component_count(X: Graph) -> int:
     return len(connected_components(X))
 
 
+def _periodic(step: dict) -> set:
+    """The keys of the partial map `step` that lie on a cycle of it.  One
+    walk from each key not yet seen, stopping where it leaves the keys or
+    meets an earlier walk, so each key is stepped from once; a walk that
+    meets itself has closed a cycle."""
+    walk_of: dict = {}
+    cyclic = set()
+    for start in step:
+        x = start
+        while x in step and x not in walk_of:
+            walk_of[x] = start
+            x = step[x]
+        if walk_of.get(x) == start:
+            while x not in cyclic:
+                cyclic.add(x)
+                x = step[x]
+    return cyclic
+
+
 def _cyclic_blocks(succ: list[list[int]]) -> list[list[list[int]]]:
     """The strongly connected components holding a cycle (two or more nodes,
     or a loop) of the digraph with successor lists `succ`, parallel arcs

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidGraph, InvalidInput
 from .graphs import (Arc, Budget, Graph, GraphMorphism, _morphisms_over,
-                     arrow_graph, coproduct_with_injections, cycle_graph,
-                     dot_graph, pullback, pushout, EMPTY)
+                     _periodic, arrow_graph, coproduct_with_injections,
+                     cycle_graph, dot_graph, pullback, pushout, EMPTY)
 from .spectral import closed_walk_counts
 from .witt import from_graph
 
@@ -34,14 +34,21 @@ def morphism_key(f: GraphMorphism) -> tuple:
 # ---------------------------------------------------------------------------
 # Classifiers
 
+def _defects(X: Graph, Y: Graph, node_map: dict[str, str],
+             arc_map: dict[str, str]):
+    """(x, b) for each arc b leaving node_map[x] that no arc leaving x maps
+    to, in node order: where X -> Y fails to surject on out-arcs."""
+    for x in X.nodes:
+        hit = {arc_map[a.id] for a in X.out_arcs[x]}
+        for b in Y.out_arcs[node_map[x]]:
+            if b.id not in hit:
+                yield x, b
+
+
 def is_surjecting(f: GraphMorphism) -> bool:
     """Out-arc sets surject: every arc leaving f(x) is hit from x."""
-    for x in f.source.nodes:
-        hit = {f.arc_map[a.id] for a in f.source.out_arcs[x]}
-        for b in f.target.out_arcs[f.node_map[x]]:
-            if b.id not in hit:
-                return False
-    return True
+    defects = _defects(f.source, f.target, f.node_map, f.arc_map)
+    return next(defects, None) is None
 
 
 def is_whiskering(f: GraphMorphism) -> bool:
@@ -55,20 +62,15 @@ def is_whiskering(f: GraphMorphism) -> bool:
     for b in Y.arcs:
         if b.tgt in node_image and b.id not in arc_image:
             return False
-    outside = [v for v in Y.nodes if v not in node_image]
-    for v in outside:
-        if Y.indegree(v) != 1:
-            return False
-    # backward walk along unique incoming arcs must reach the image
-    for v in outside:
-        cur = v
-        for _ in range(len(Y.nodes)):
-            cur = Y.in_arcs[cur][0].src
-            if cur in node_image:
-                break
-        else:
-            return False
-    return True
+    # walks back along the one arc into each outside node must not cycle
+    back = {}
+    for v in Y.nodes:
+        if v not in node_image:
+            entering = Y.in_arcs[v]
+            if len(entering) != 1:
+                return False
+            back[v] = entering[0].src
+    return not _periodic(back)
 
 
 def is_acyclic_bounded(f: GraphMorphism, N: int,
@@ -257,15 +259,10 @@ def factorize_bounded(f: GraphMorphism, depth: int):
     p_arcs = dict(f.arc_map)
     fresh = 0
 
+    # a round attaches whiskers while its scan runs: the scan reads only the
+    # nodes and arcs of W, which attaching leaves as they are
+    defects = _defects(W, Y, p_nodes, p_arcs)
     for _ in range(depth):
-        defects = []
-        for x in W.nodes:
-            hit = {p_arcs[a.id] for a in W.out_arcs[x]}
-            for b in Y.out_arcs[p_nodes[x]]:
-                if b.id not in hit:
-                    defects.append((x, b))
-        if not defects:
-            break
         new_nodes = list(W.nodes)
         new_arcs = list(W.arcs)
         for x, b in defects:
@@ -278,11 +275,15 @@ def factorize_bounded(f: GraphMorphism, depth: int):
             new_arcs.append(Arc(arc_id, x, node_id))
             p_nodes[node_id] = b.tgt
             p_arcs[arc_id] = b.id
+        if len(new_nodes) == len(W.nodes):   # no defect: p surjects
+            break
         W = Graph._trusted(tuple(new_nodes), tuple(new_arcs))
+        defects = _defects(W, Y, p_nodes, p_arcs)
 
     w = GraphMorphism._trusted(X, W, w_nodes, w_arcs)
     p = GraphMorphism._trusted(W, Y, p_nodes, p_arcs)
-    return w, p, is_surjecting(p)
+    # the last scan, used up if a round found no defect, decides completeness
+    return w, p, next(defects, None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -298,24 +298,22 @@ def zeta_series(X: Graph, N: int) -> ZetaSeries:
     return ZetaSeries(denom, N, tuple(coeffs))
 
 
-def newton_power_sums(a: IntPolynomial, upto: int,
+def newton_power_sums(d: IntPolynomial, upto: int,
                       p: list[int] | None = None) -> list[int]:
-    """Power sums p_1..p_upto of the roots of a monic polynomial.
+    """Power sums p_1..p_upto of the roots of det(xI - A), read from its
+    reversal d = det(I - uA), whose d_0 is 1.
 
-    Newton's identities: p_k = -k*b_{n-k} - sum_{i=1}^{k-1} b_{n-i} p_{k-i},
-    with b the coefficients of a (b_n = 1 leading) and b_j = 0 for j < 0.
-    The zeros b_j, j < m, of a factor x^m of a are left out.  Exact over
-    ints.  Passing the list an earlier call returned as `p` extends it.
+    Newton's identities: p_k = -k*d_k - sum_{i=1}^{k-1} d_i p_{k-i}, with
+    d_i = 0 past the degree of d.  Exact over ints.  Passing the list an
+    earlier call returned as `p` extends it.
     """
-    n = a.degree
-    if n < 0 or a[n] != 1:
-        raise InvalidInput("expected a monic polynomial")
+    if d[0] != 1:
+        raise InvalidInput("expected constant term 1")
     p = [] if p is None else p
-    m = next(j for j, x in enumerate(a.coefficients) if x)   # x^m divides a
-    b = a.coefficients[m:-1][::-1]   # b_{n-1}, b_{n-2}, ..., b_m
+    tail = d.coefficients[1:]   # d_1, d_2, ..., d_deg
     for k in range(len(p) + 1, upto + 1):
-        acc = -sum(map(mul, b, reversed(p)))
-        if k <= len(b):
-            acc -= k * b[k - 1]
+        acc = -sum(map(mul, tail, reversed(p)))
+        if k <= len(tail):
+            acc -= k * tail[k - 1]
         p.append(acc)
     return p

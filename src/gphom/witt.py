@@ -14,7 +14,8 @@ from math import isqrt
 
 from .errors import InvalidInput, NotRealizable
 from .graphs import Graph
-from .spectral import expand_log_exp, graph_char_poly, newton_power_sums
+from .spectral import (expand_log_exp, graph_reversed_char_poly,
+                       newton_power_sums)
 
 
 @lru_cache(maxsize=None)
@@ -104,14 +105,16 @@ class AlmostFiniteZSet:
 def from_graph(X: Graph) -> AlmostFiniteZSet:
     """The periodic bi-infinite paths of X: ghost components are tr(A^n).
 
-    They are the Newton power sums of det(xI - A), which X computes once,
-    extended to at least twice their depth when a deeper one is asked for.
+    They are the Newton power sums of det(xI - A), read from det(I - uA),
+    which X computes once, extended to at least twice their depth when a
+    deeper one is asked for.
     """
     sums: list[int] = []
 
     def ghost(n: int) -> int:
         if n > len(sums):
-            newton_power_sums(graph_char_poly(X), max(n, 2 * len(sums)), sums)
+            newton_power_sums(graph_reversed_char_poly(X),
+                              max(n, 2 * len(sums)), sums)
         return sums[n - 1]
 
     return AlmostFiniteZSet(ghost, label="from-graph")

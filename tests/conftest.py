@@ -136,6 +136,74 @@ def brute_force_acyclic_bounded(f: GraphMorphism, N: int) -> bool:
     return True
 
 
+def brute_force_periodic(S) -> tuple[str, ...]:
+    """Walk oracle for the periodic part of an N-set: the elements x with
+    sigma^n(x) = x for some n <= |S|, the largest period a finite N-set
+    allows, in the order of S.elements.  Up to |S| steps from every
+    element, so quadratic."""
+    periodic = []
+    for x in S.elements:
+        y = x
+        for _ in range(len(S.elements)):
+            y = S.sigma[y]
+            if y == x:
+                periodic.append(x)
+                break
+    return tuple(periodic)
+
+
+def brute_force_nset_whiskering(f) -> bool:
+    """Walk oracle for N-set whiskerings: f injective, and from every
+    element outside the image, at most |T| steps of sigma reach it."""
+    image = set(f.map.values())
+    if len(image) != len(f.map):
+        return False
+    T = f.target
+    for y in T.elements:
+        z = y
+        for _ in range(len(T.elements)):
+            if z in image:
+                break
+            z = T.sigma[z]
+        if z not in image:
+            return False
+    return True
+
+
+def brute_force_whiskering(f: GraphMorphism) -> bool:
+    """Walk oracle for graph whiskerings: f injective on nodes and arcs,
+    every arc into the image in it, every node outside with one arc in, and
+    at most |Y| steps back along those arcs from each reach the image."""
+    nm, am = f.node_map, f.arc_map
+    if len(set(nm.values())) != len(nm) or len(set(am.values())) != len(am):
+        return False
+    node_image, arc_image = set(nm.values()), set(am.values())
+    Y = f.target
+    if any(b.tgt in node_image and b.id not in arc_image for b in Y.arcs):
+        return False
+    outside = [v for v in Y.nodes if v not in node_image]
+    if any(Y.indegree(v) != 1 for v in outside):
+        return False
+    for v in outside:
+        for _ in range(len(Y.nodes)):
+            v = Y.in_arcs[v][0].src
+            if v in node_image:
+                break
+        else:
+            return False
+    return True
+
+
+class CountingDict(dict):
+    """A dict that counts its item lookups d[key]."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
 def dense_cycle_count(X: Graph, n: int) -> int:
     """Matrix-power oracle: tr(A^n) by n - 1 dense vector-matrix products
     per row."""

@@ -77,7 +77,8 @@ def test_criterion_3_newton_consistency():
         for _ in range(100):
             X = random_graph(rnd, 6, 9)
             k = len(X.nodes)
-            sums = newton_power_sums(char_poly(adjacency_matrix(X)), max(k, 6))
+            sums = newton_power_sums(reversed_char_poly(adjacency_matrix(X)),
+                                     max(k, 6))
             for n in range(1, max(k, 6) + 1):
                 assert sums[n - 1] == cycle_count(X, n)
 

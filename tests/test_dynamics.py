@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,9 @@ from gphom.dynamics import (FinNSet, FinZSet, NSetMap, cayley_graph,
 from gphom.errors import InvalidInput, NotAnNGraph
 from gphom.graphs import arrow_graph, cycle_graph, is_isomorphic
 from gphom.model import is_acyclic_bounded, is_surjecting, is_whiskering
+
+from conftest import (CountingDict, brute_force_nset_whiskering,
+                      brute_force_periodic, brute_force_whiskering)
 
 
 def random_nset(rnd: random.Random, max_size: int) -> FinNSet:
@@ -187,3 +191,89 @@ def test_nset_json():
         nset_from_json({"elements": ["a"], "sigma": {"a": "a"}, "x": 1})
     with pytest.raises(InvalidInput):
         nset_from_json(nset_to_json(TAPROOT), require_zset=True)
+
+
+def all_nsets(max_size: int):
+    """Every N-set on x0..x{k-1} for k <= max_size."""
+    for k in range(max_size + 1):
+        elems = tuple(f"x{i}" for i in range(k))
+        for images in itertools.product(elems, repeat=k):
+            yield FinNSet(elems, dict(zip(elems, images)))
+
+
+def brute_force_nset_acyclic(f: NSetMap) -> bool:
+    """f is a bijection between the walk oracle's periodic parts."""
+    P, Q = brute_force_periodic(f.source), brute_force_periodic(f.target)
+    return zset_is_acyclic(NSetMap(
+        FinZSet(P, {x: f.source.sigma[x] for x in P}),
+        FinZSet(Q, {y: f.target.sigma[y] for y in Q}),
+        {x: f(x) for x in P}))
+
+
+def test_periodic_points_match_walk_oracles_exhaustively():
+    # every N-set map with <= 3 source and <= 4 target elements: 22,358
+    # from a nonempty source, and one from the empty N-set into each target
+    targets = list(all_nsets(4))
+    for T in targets:
+        assert periodic_part(T).elements == brute_force_periodic(T)
+    checked = 0
+    for S in all_nsets(3):
+        for T in targets:
+            for f in enumerate_nset_maps(S, T):
+                assert is_nset_acyclic(f) == brute_force_nset_acyclic(f)
+                assert is_nset_whiskering(f) == brute_force_nset_whiskering(f)
+                g = cayley_morphism(f)
+                assert is_whiskering(g) == brute_force_whiskering(g)
+                checked += 1
+    assert checked == 22358 + len(targets)
+
+
+def test_periodic_points_match_walk_oracles_seeded():
+    # larger N-sets, elements listed in a shuffled order, and the Cayley
+    # morphisms of maps into them
+    rnd = random.Random(27)
+    for _ in range(300):
+        T = random_nset(rnd, 12)
+        elems = list(T.elements)
+        rnd.shuffle(elems)
+        T = FinNSet(tuple(elems), T.sigma)
+        assert periodic_part(T).elements == brute_force_periodic(T)
+        # the sub-N-set generated by a few elements, included
+        gen = set(rnd.sample(elems, min(len(elems), rnd.randint(1, 3))))
+        for y in list(gen):
+            while T.sigma[y] not in gen:
+                y = T.sigma[y]
+                gen.add(y)
+        sub = tuple(x for x in elems if x in gen)
+        f = NSetMap(FinNSet(sub, {x: T.sigma[x] for x in sub}), T,
+                    {x: x for x in sub})
+        assert is_nset_whiskering(f) == brute_force_nset_whiskering(f)
+        assert is_nset_acyclic(f) == brute_force_nset_acyclic(f)
+        g = cayley_morphism(f)
+        assert is_whiskering(g) == brute_force_whiskering(g) \
+            == is_nset_whiskering(f)
+
+
+def test_periodic_points_take_linear_work():
+    # a tail x0 -> x1 -> ... -> x{n-1} -> x{n-1}, with its fixed point
+    # included; a walk of n steps from every element costs about n^2 / 2
+    # lookups, one walk in all about n
+    n = 2000
+    elems = tuple(f"x{i}" for i in range(n))
+    sigma = CountingDict({x: elems[min(i + 1, n - 1)]
+                          for i, x in enumerate(elems)})
+    tail = FinNSet(elems, sigma)
+    point = FinNSet(("r",), {"r": "r"})
+    f = NSetMap(point, tail, {"r": elems[-1]})
+    sigma.lookups = 0
+    assert periodic_part(tail).elements == (elems[-1],)
+    assert sigma.lookups <= 2 * n
+    for decide in (is_nset_acyclic, is_nset_whiskering):
+        sigma.lookups = 0
+        assert decide(f)
+        assert sigma.lookups <= 2 * n, decide.__name__
+    g = cayley_morphism(f)
+    in_arcs = CountingDict(g.target.in_arcs)
+    vars(g.target)["in_arcs"] = in_arcs
+    assert is_whiskering(g)
+    assert in_arcs.lookups <= 2 * n

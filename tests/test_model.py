@@ -22,8 +22,8 @@ from gphom.model import (GeneratorSet, LiftingProblem, aperiodic_necklaces,
 from gphom.witt import from_graph
 
 from conftest import (brute_force_acyclic_bounded, brute_force_morphisms,
-                      brute_force_necklaces, count_calls, random_graph,
-                      relabel)
+                      brute_force_necklaces, brute_force_whiskering,
+                      count_calls, random_graph, relabel)
 
 
 def attach_whiskers(X: Graph, rnd: random.Random, count: int) -> GraphMorphism:
@@ -63,6 +63,38 @@ def test_whiskering_examples():
 def test_whiskering_rejects_folds_and_projections():
     assert not is_whiskering(cycle_fold(2))
     assert not is_whiskering(cycle_projection(2, 2))
+
+
+def attach_nodes(X: Graph, rnd: random.Random, count: int) -> GraphMorphism:
+    """The inclusion of X into Y, X with `count` new nodes each given one
+    arc in from any node of Y: trees on X where the walks back along those
+    arcs reach X, cycles outside X where they do not.  Sometimes one more
+    arc anywhere; nodes and arcs of Y in a shuffled order."""
+    new = [f"t{i}" for i in range(count)]
+    nodes = list(X.nodes) + new
+    arcs = list(X.arcs) + [Arc(f"ta{i}", rnd.choice(nodes), v)
+                           for i, v in enumerate(new)]
+    if rnd.random() < 0.2:
+        arcs.append(Arc("extra", rnd.choice(nodes), rnd.choice(nodes)))
+    rnd.shuffle(nodes)
+    rnd.shuffle(arcs)
+    return GraphMorphism(X, Graph(tuple(nodes), tuple(arcs)),
+                         {v: v for v in X.nodes}, {a.id: a.id for a in X.arcs})
+
+
+def test_whiskering_matches_walk_oracle():
+    rnd = random.Random(29)
+    verdicts = Counter()
+    for _ in range(2000):
+        f = attach_nodes(random_graph(rnd, 4, 5), rnd, rnd.randint(0, 6))
+        verdicts[is_whiskering(f)] += 1
+        assert is_whiskering(f) == brute_force_whiskering(f)
+    assert min(verdicts.values()) > 400
+    small = list(enumerate_small_graphs(2, 3))
+    for X in small:
+        for Y in small:
+            for f in enumerate_morphisms(X, Y):
+                assert is_whiskering(f) == brute_force_whiskering(f)
 
 
 def test_acyclic_examples():

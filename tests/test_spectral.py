@@ -194,14 +194,14 @@ def test_ghost_row_with_factor_x_to_the_m():
         oracle = [dense_cycle_count(X, n) for n in range(1, N + 1)]
         assert graph_char_poly(X)[0] == 0
         assert from_graph(X).ghost_row(N) == oracle
-        assert newton_power_sums(char_poly(adjacency_matrix(X)), N) == oracle
+        assert newton_power_sums(reversed_char_poly(adjacency_matrix(X)), N) == oracle
 
 
 def test_newton_consistency():
     rnd = random.Random(10)
     for _ in range(30):
         X = random_graph(rnd, 6, 9)
-        a = char_poly(adjacency_matrix(X))
+        a = reversed_char_poly(adjacency_matrix(X))
         sums = newton_power_sums(a, len(X.nodes))
         for n in range(1, len(X.nodes) + 1):
             assert sums[n - 1] == cycle_count(X, n)
