@@ -166,8 +166,8 @@ def cmd_lift(args) -> int:
     if h is None:
         _emit(args, {"lift": None}, ["NO-LIFT"])
         return 1
-    _emit(args, {"lift": morphism_to_json(h)},
-          [json.dumps(morphism_to_json(h), indent=2, sort_keys=True)])
+    lift = morphism_to_json(h)
+    _emit(args, {"lift": lift}, [json.dumps(lift, indent=2, sort_keys=True)])
     return 0
 
 
@@ -177,10 +177,11 @@ def cmd_cofibrant_replace(args) -> int:
     res = model.cofibrant_replacement(X, N, Budget(args.budget))
     lines = ["n\ts_n"]
     lines += [f"{n}\t{res.witt_summary[n]}" for n in sorted(res.witt_summary)]
-    lines.append(json.dumps(graph_to_json(res.graph), sort_keys=True))
+    replacement = graph_to_json(res.graph)
+    lines.append(json.dumps(replacement, sort_keys=True))
     _emit(args, {
-        "replacement": graph_to_json(res.graph),
-        "counit": morphism_to_json(res.counit),
+        "replacement": replacement,
+        "counit": morphism_to_json(res.counit) if args.json else None,
         "necklaces": {str(n): s for n, s in sorted(res.witt_summary.items())},
         "upto": N,
     }, lines)
@@ -208,21 +209,20 @@ def cmd_explore(args) -> int:
                   enumerate(homotopy.enumerate_small_graphs(args.nodes, args.arcs))]
     buckets = homotopy.explore(args.nodes, args.arcs, graphs,
                                Budget(args.budget))
-    report = []
     lines = []
     for b in buckets:
         names = [name for name, _ in b.members]
-        report.append({
-            "signature": list(b.signature.reversed_char_poly.coefficients),
-            "members": [{"name": name, "graph": graph_to_json(G)}
-                        for name, G in b.members],
-            "nonisomorphic_pairs": [list(p) for p in b.nonisomorphic_pairs],
-        })
         flag = ""
         if b.nonisomorphic_pairs:
             shown = ", ".join(f"{a} vs {c}" for a, c in b.nonisomorphic_pairs)
             flag = f"  NON-ISOMORPHIC: {shown}"
         lines.append(f"{b.signature.format()}: {', '.join(names)}{flag}")
+    report = [{
+        "signature": list(b.signature.reversed_char_poly.coefficients),
+        "members": [{"name": name, "graph": graph_to_json(G)}
+                    for name, G in b.members],
+        "nonisomorphic_pairs": [list(p) for p in b.nonisomorphic_pairs],
+    } for b in buckets] if args.json or args.out else []
     if args.out:
         try:
             with open(args.out, "w") as fh:

@@ -53,11 +53,10 @@ def is_surjecting(f: GraphMorphism) -> bool:
 
 def is_whiskering(f: GraphMorphism) -> bool:
     """Target is the source with out-directed rooted trees attached."""
-    nm, am = f.node_map, f.arc_map
-    if len(set(nm.values())) != len(nm) or len(set(am.values())) != len(am):
+    node_image = set(f.node_map.values())
+    arc_image = set(f.arc_map.values())
+    if len(node_image) != len(f.node_map) or len(arc_image) != len(f.arc_map):
         return False
-    node_image = set(nm.values())
-    arc_image = set(am.values())
     Y = f.target
     for b in Y.arcs:
         if b.tgt in node_image and b.id not in arc_image:
@@ -247,42 +246,42 @@ def factorize_bounded(f: GraphMorphism, depth: int):
     """Factor f = p . w with w a Whiskering, by attaching one whisker arc
     per lifting defect per round, breadth-first.
 
-    Returns (w, p, complete); complete is True iff p came out Surjecting
-    within `depth` rounds.  Whisker k is the node w{k} and the arc wa{k},
-    skipping any k whose ids X already uses.
+    A whisker has no out-arcs, so its defects are the arcs leaving its
+    image, and mended nodes stay mended: after round 1, only the whiskers
+    of the last round have defects.  Returns (w, p, complete); complete is
+    True iff p came out Surjecting within `depth` rounds.  Whisker k is the
+    node w{k} and the arc wa{k}, skipping any k whose ids X already uses.
     """
     X, Y = f.source, f.target
-    W = X
-    w_nodes = {v: v for v in X.nodes}
-    w_arcs = {a.id: a.id for a in X.arcs}
+    nodes = list(X.nodes)
+    arcs = list(X.arcs)
     p_nodes = dict(f.node_map)
     p_arcs = dict(f.arc_map)
     fresh = 0
 
-    # a round attaches whiskers while its scan runs: the scan reads only the
-    # nodes and arcs of W, which attaching leaves as they are
-    defects = _defects(W, Y, p_nodes, p_arcs)
+    defects = _defects(X, Y, p_nodes, p_arcs)
     for _ in range(depth):
-        new_nodes = list(W.nodes)
-        new_arcs = list(W.arcs)
+        newest = len(nodes)
         for x, b in defects:
             while f"w{fresh}" in X.node_index or f"wa{fresh}" in X.arc_by_id:
                 fresh += 1
             node_id = f"w{fresh}"
             arc_id = f"wa{fresh}"
             fresh += 1
-            new_nodes.append(node_id)
-            new_arcs.append(Arc(arc_id, x, node_id))
+            nodes.append(node_id)
+            arcs.append(Arc(arc_id, x, node_id))
             p_nodes[node_id] = b.tgt
             p_arcs[arc_id] = b.id
-        if len(new_nodes) == len(W.nodes):   # no defect: p surjects
+        if len(nodes) == newest:   # no defect: p surjects
             break
-        W = Graph._trusted(tuple(new_nodes), tuple(new_arcs))
-        defects = _defects(W, Y, p_nodes, p_arcs)
+        defects = ((v, b) for v in nodes[newest:]
+                   for b in Y.out_arcs[p_nodes[v]])
 
-    w = GraphMorphism._trusted(X, W, w_nodes, w_arcs)
+    W = Graph._trusted(tuple(nodes), tuple(arcs))
+    w = GraphMorphism._trusted(X, W, {v: v for v in X.nodes},
+                               {a.id: a.id for a in X.arcs})
     p = GraphMorphism._trusted(W, Y, p_nodes, p_arcs)
-    # the last scan, used up if a round found no defect, decides completeness
+    # the next round's defects decide completeness
     return w, p, next(defects, None) is None
 
 

@@ -7,7 +7,7 @@ import pytest
 from gphom.graphs import (Arc, Graph, GraphMorphism, cycle_graph,
                           enumerate_morphisms)
 from gphom.homotopy import enumerate_small_graphs
-from gphom.model import morphism_key
+from gphom.model import _defects, morphism_key
 from gphom.spectral import IntPolynomial, adjacency_matrix
 
 
@@ -192,6 +192,33 @@ def brute_force_whiskering(f: GraphMorphism) -> bool:
         else:
             return False
     return True
+
+
+def brute_force_factorize(f: GraphMorphism, depth: int):
+    """Round-by-round oracle for the small-object factorization: each
+    round rescans every node of W for defects and copies W into a new
+    Graph, so the work grows as depth * |W|.  Returns (w, p, complete)."""
+    X, Y = f.source, f.target
+    W = X
+    p_nodes, p_arcs = dict(f.node_map), dict(f.arc_map)
+    fresh = 0
+    for _ in range(depth):
+        new_nodes, new_arcs = list(W.nodes), list(W.arcs)
+        for x, b in list(_defects(W, Y, p_nodes, p_arcs)):
+            while f"w{fresh}" in X.node_index or f"wa{fresh}" in X.arc_by_id:
+                fresh += 1
+            new_nodes.append(f"w{fresh}")
+            new_arcs.append(Arc(f"wa{fresh}", x, f"w{fresh}"))
+            p_nodes[f"w{fresh}"] = b.tgt
+            p_arcs[f"wa{fresh}"] = b.id
+            fresh += 1
+        if len(new_nodes) == len(W.nodes):
+            break
+        W = Graph(tuple(new_nodes), tuple(new_arcs))
+    w = GraphMorphism(X, W, {v: v for v in X.nodes},
+                      {a.id: a.id for a in X.arcs})
+    p = GraphMorphism(W, Y, p_nodes, p_arcs)
+    return w, p, next(_defects(W, Y, p_nodes, p_arcs), None) is None
 
 
 class CountingDict(dict):

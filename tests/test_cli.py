@@ -275,6 +275,20 @@ def test_explore_exhaustive_output_pinned(capsys):
         "4e6a3a96da44e461d00c3302752917d506578699f1f07b4bf99f8abc8b94eb7f"
 
 
+def test_explore_exhaustive_text_and_report_pinned(capsys, tmp_path):
+    # sha256 of the text output and of the --out file; --out adds one line
+    argv = ("explore", "--exhaustive", "--nodes", "4", "--arcs", "3")
+    code, text, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "90cc0c3a05edfe219ae5df7eac976962618974aebacc666247c111a197c18b39"
+    report = tmp_path / "report.json"
+    code, out, _ = invoke(capsys, *argv, "--out", str(report))
+    assert code == 0 and out == text + f"report written to {report}\n"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        "987ef8fa30c126aeb6daab70d1462f08e4c2aa2559fbff1a5c5b86b0af1150ba"
+
+
 def test_nset_zset_commands(capsys, tmp_path):
     path = tmp_path / "z3.json"
     path.write_text(json.dumps(

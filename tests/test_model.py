@@ -21,7 +21,8 @@ from gphom.model import (GeneratorSet, LiftingProblem, aperiodic_necklaces,
                          is_whiskering, morphism_key, source_inclusion)
 from gphom.witt import from_graph
 
-from conftest import (brute_force_acyclic_bounded, brute_force_morphisms,
+from conftest import (CountingDict, brute_force_acyclic_bounded,
+                      brute_force_factorize, brute_force_morphisms,
                       brute_force_necklaces, brute_force_whiskering,
                       count_calls, random_graph, relabel)
 
@@ -442,6 +443,73 @@ def test_factorize_whisker_ids_avoid_the_source_ids(f, nodes):
     assert len({a.id for a in W.arcs}) == len(W.arcs)
     assert is_whiskering(w)
     assert morphism_key(p.compose(w)) == morphism_key(f)
+
+
+def factorization_fields(w: GraphMorphism, p: GraphMorphism, complete: bool):
+    return (w.target.nodes, w.target.arcs, w.node_map, w.arc_map,
+            p.node_map, p.arc_map, complete)
+
+
+def small_morphisms() -> list[GraphMorphism]:
+    """Every morphism between graphs with <= 2 nodes and <= 3 arcs."""
+    graphs = list(enumerate_small_graphs(2, 3))
+    return [f for X in graphs for Y in graphs for f in enumerate_morphisms(X, Y)]
+
+
+def forward_morphisms(rnd: random.Random, count: int) -> list[GraphMorphism]:
+    """Seeded morphisms from small graphs into targets of 2-7 nodes whose
+    arcs mostly run forward, so that many factorizations end."""
+    found: list[GraphMorphism] = []
+    while len(found) < count:
+        k = rnd.randint(2, 7)
+        arcs = []
+        for i in range(rnd.randint(1, 2 * k)):
+            u = rnd.randrange(k)
+            v = rnd.randrange(u, k) if rnd.random() < 0.9 else rnd.randrange(k)
+            arcs.append(Arc(f"b{i}", str(u), str(v)))
+        Y = Graph(tuple(str(i) for i in range(k)), tuple(arcs))
+        morphs = enumerate_morphisms(random_graph(rnd, 3, 3), Y)
+        found += rnd.sample(morphs, min(3, len(morphs)))
+    return found
+
+
+def test_factorize_matches_round_by_round_oracle():
+    morphisms = small_morphisms() + forward_morphisms(random.Random(53), 600)
+    assert len(morphisms) >= 6384 + 600
+    for f in morphisms:
+        for depth in range(5):
+            assert factorization_fields(*factorize_bounded(f, depth)) == \
+                factorization_fields(*brute_force_factorize(f, depth)), (f, depth)
+
+
+def test_factorize_whisker_count_is_a_path_count():
+    """After d rounds there is one whisker per path of length < d in Y from
+    the target of each first-round defect, the empty path included."""
+    def paths(Y: Graph, v: str, d: int) -> int:
+        if d == 0:
+            return 0
+        return 1 + sum(paths(Y, b.tgt, d - 1) for b in Y.out_arcs[v])
+
+    for f in small_morphisms() + forward_morphisms(random.Random(59), 300):
+        X, Y = f.source, f.target
+        first = [b for x in X.nodes for b in Y.out_arcs[f.node_map[x]]
+                 if b.id not in {f.arc_map[a.id] for a in X.out_arcs[x]}]
+        for depth in range(5):
+            w, p, complete = factorize_bounded(f, depth)
+            assert len(w.target.nodes) - len(X.nodes) == \
+                sum(paths(Y, b.tgt, depth) for b in first)
+
+
+def test_factorize_is_linear_in_depth():
+    # each whisker looks up the out-arcs of its image once; rescanning W
+    # every round would look up about depth^2 / 2 of them
+    depth = 2000
+    Y = cycle_graph(1)
+    vars(Y)["out_arcs"] = lookups = CountingDict(Y.out_arcs)
+    f = GraphMorphism(dot_graph(), Y, {"0": "0"}, {})
+    w, p, complete = factorize_bounded(f, depth)
+    assert not complete and len(w.target.nodes) == depth + 1
+    assert lookups.lookups <= 2 * (depth + len(f.source.nodes))
 
 
 @pytest.mark.trusted_construction
