@@ -15,7 +15,6 @@ import json
 import os
 import sys
 
-from . import dynamics, homotopy, model, spectral, witt
 from .errors import BudgetExceeded, GphomError, InvalidInput
 from .graphs import (DEFAULT_BUDGET, Budget, EMPTY, Graph, arrow_graph,
                      cross_graph, cycle_graph, dot_graph, figure_eight,
@@ -91,8 +90,12 @@ def _emit(args, payload: dict, text_lines: list[str]):
 
 # ---------------------------------------------------------------------------
 # Subcommands
+#
+# Each imports the modules it runs when it runs: every process compiles what
+# it imports, so a command should not pay for the others' code.
 
 def cmd_charpoly(args) -> int:
+    from . import spectral
     X = load_graph(args.graph)
     a = spectral.graph_char_poly(X)
     rev = spectral.graph_reversed_char_poly(X)
@@ -106,6 +109,7 @@ def cmd_charpoly(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    from . import spectral
     X = load_graph(args.graph)
     N = _upto(args, X)
     Z = spectral.zeta_series(X, N)
@@ -121,6 +125,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from . import spectral
     X = load_graph(args.graph)
     N = _upto(args, X)
     counts = spectral.closed_walk_counts(X, N)
@@ -130,6 +135,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_witt(args) -> int:
+    from . import witt
     X = load_graph(args.graph)
     N = _upto(args, X)
     S = witt.from_graph(X)
@@ -142,6 +148,7 @@ def cmd_witt(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import model
     f = morphism_from_json(_load_json(args.morphism))
     N = _upto(args, f.source, f.target)
     budget = Budget(args.budget)
@@ -156,6 +163,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from . import model
     problem = model.LiftingProblem(
         left=morphism_from_json(_load_json(args.left)),
         right=morphism_from_json(_load_json(args.right)),
@@ -172,6 +180,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_cofibrant_replace(args) -> int:
+    from . import model
     X = load_graph(args.graph)
     N = _upto(args, X)
     res = model.cofibrant_replacement(X, N, Budget(args.budget))
@@ -189,6 +198,7 @@ def cmd_cofibrant_replace(args) -> int:
 
 
 def cmd_homotopy_eq(args) -> int:
+    from . import homotopy
     X = load_graph(args.graph_a)
     Y = load_graph(args.graph_b)
     sig_x, sig_y = homotopy.signature(X), homotopy.signature(Y)
@@ -203,6 +213,7 @@ def cmd_homotopy_eq(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    from . import homotopy
     graphs = None
     if args.exhaustive:
         graphs = [(f"g{i}", G) for i, G in
@@ -235,6 +246,7 @@ def cmd_explore(args) -> int:
 
 
 def _nset_report(args, require_zset: bool) -> int:
+    from . import dynamics
     S = dynamics.nset_from_json(_load_json(args.file), require_zset=require_zset)
     fib = dynamics.nset_fibrancy(S)
     per = dynamics.periodic_part(S)

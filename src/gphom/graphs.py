@@ -456,16 +456,19 @@ def _cyclic_blocks(succ: list[list[int]]) -> list[list[list[int]]]:
 # Exhaustive searches
 
 class Budget:
-    """Counts search steps; raises when the allowance runs out."""
+    """Counts search steps; raises when the allowance runs out.  Each search
+    puts its name in `search` as it starts, for the error to report."""
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         self.limit = limit
         self.used = 0
+        self.search = "a search"
 
     def spend(self, n: int = 1):
         self.used += n
         if self.used > self.limit:
-            raise BudgetExceeded(f"search budget of {self.limit} exceeded")
+            raise BudgetExceeded(f"search budget of {self.limit} exceeded in "
+                                 f"{self.search}, which needs at least {self.used}")
 
 
 def _morphisms_over(X: Graph, Y: Graph, over_x, over_y,
@@ -562,11 +565,12 @@ def enumerate_morphisms(X: Graph, Y: Graph,
     """All graph morphisms X -> Y, in a deterministic order: the morphisms
     over the terminal graph, found by the search that also serves
     model.find_lift."""
+    budget = budget or Budget()
+    budget.search = "enumerate_morphisms"
     node_label = dict.fromkeys(X.nodes + Y.nodes, "0")
     arc_label = dict.fromkeys([a.id for a in X.arcs + Y.arcs], "0")
     return list(_morphisms_over(X, Y, (node_label, arc_label),
-                                (node_label, arc_label), {}, {},
-                                budget or Budget()))
+                                (node_label, arc_label), {}, {}, budget))
 
 
 def _neighbours(G: Graph) -> dict[str, tuple[str, ...]]:
@@ -597,6 +601,7 @@ def is_isomorphic(X: Graph, Y: Graph,
     explicit stack, so deep graphs cannot exhaust the recursion limit.
     """
     budget = budget or Budget()
+    budget.search = "is_isomorphic"
     if len(X.nodes) != len(Y.nodes) or len(X.arcs) != len(Y.arcs):
         return False, None
 

@@ -86,6 +86,7 @@ def is_acyclic_bounded(f: GraphMorphism, N: int,
     if N < 1:
         raise InvalidInput("acyclicity bound must be >= 1")
     budget = budget or Budget()
+    budget.search = "the acyclicity pullback"
     budget.spend(sum(k * k for k in Counter(f.node_map.values()).values())
                  + sum(k * k for k in Counter(f.arc_map.values()).values()))
     cx = closed_walk_counts(f.source, N)
@@ -232,11 +233,13 @@ def find_lift(p: LiftingProblem,
         y, a = l.arc_map[e.id], f.arc_map[e.id]
         if arc_map.setdefault(y, a) != a:
             return None
+    budget = budget or Budget()
+    budget.search = "find_lift"
     # the square commutes and f is a morphism, so this part already has
     # r.h == g and pins the endpoints of its arcs as f does
     return next(_morphisms_over(l.target, r.source, (g.node_map, g.arc_map),
                                 (r.node_map, r.arc_map), node_map, arc_map,
-                                budget or Budget()), None)
+                                budget), None)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +306,7 @@ def _lyndon_walks(X: Graph, N: int, budget: Budget):
         # pushed largest first, so the stack pops walks in ascending order
         return sorted(arcs, key=lambda a: a.id, reverse=True)
 
+    budget.search = "aperiodic_necklaces"
     follow = {v: descending(arcs) for v, arcs in X.in_arcs.items()}
     stack = [(0, 1, a) for a in descending(X.arcs)]    # (index, period, arc)
     budget.spend(len(stack))
@@ -353,6 +357,7 @@ def cofibrant_replacement(X: Graph, N: int,
     if N < 1:
         raise InvalidInput("resolution bound must be >= 1")
     budget = budget or Budget()
+    budget.search = "cofibrant_replacement"
     summary = dict(enumerate(from_graph(X).witt_row(N), start=1))
     budget.spend(sum(n * s for n, s in summary.items()))
     reps: dict[int, list[tuple[str, ...]]] = {n: [] for n in summary}

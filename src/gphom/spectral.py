@@ -50,15 +50,6 @@ class IntPolynomial:
             return self.coefficients[k]
         return 0
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coefficients or not other.coefficients:
-            return IntPolynomial(())
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntPolynomial.from_list(out)
-
     def format(self, var: str = "x") -> str:
         """Canonical ascending text, e.g. '1 - 4*u^2'."""
         if not self.coefficients:
@@ -147,14 +138,20 @@ def _berkowitz(block: list[list[int]]) -> list[int]:
 def _det(blocks: list[list[list[int]]]) -> IntPolynomial:
     """det(I - uA) from Graph.cyclic_blocks: A is block triangular, so it is
     the product over them of 1 - d*u for a lone node with d loops, else of
-    _berkowitz's det(xI - A_C), highest degree first: det(I - uA_C)."""
-    det = IntPolynomial((1,))
+    _berkowitz's det(xI - A_C), highest degree first: det(I - uA_C).  Each
+    factor starts with 1 and loses its trailing zeros, so the product of
+    the plain lists has none either."""
+    det = [1]
     for block in blocks:
-        if len(block) > 1:
-            det *= IntPolynomial.from_list(_berkowitz(block))
-        else:
-            det *= IntPolynomial((1, -len(block[0])))
-    return det
+        factor = _berkowitz(block) if len(block) > 1 else [1, -len(block[0])]
+        while not factor[-1]:
+            factor.pop()
+        prod = [0] * (len(det) + len(factor) - 1)
+        for i, a in enumerate(det):
+            for j, b in enumerate(factor):
+                prod[i + j] += a * b
+        det = prod
+    return IntPolynomial(tuple(det))
 
 
 def graph_reversed_char_poly(X: Graph) -> IntPolynomial:

@@ -331,6 +331,16 @@ def test_budget_exit_code(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_budget_error_names_the_search(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(morphism_to_json(cycle_fold(4))))
+    code, out, err = invoke(capsys, "classify", str(path), "--upto", "6",
+                            "--budget", "10")
+    assert (code, out) == (3, "")
+    assert err == ("error: search budget of 10 exceeded in the acyclicity "
+                   "pullback, which needs at least 32\n")
+
+
 @pytest.mark.parametrize("env, flag, message", [
     ("abc", None, "GPHOM_BUDGET must be an integer"),
     ("-1", None, "GPHOM_BUDGET must be >= 0"),
@@ -463,3 +473,55 @@ def test_deterministic_output(capsys):
         _, out, _ = invoke(capsys, "witt", "cross", "--upto", "8", "--json")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def loaded_modules(code: str) -> list[str]:
+    """The gphom modules a fresh interpreter holds after running `code`."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import json, sys\n" + code + "\nprint(json.dumps(sorted(m for m in "
+             "sys.modules if m.startswith('gphom'))), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_import_gphom_loads_no_submodule():
+    assert loaded_modules("import gphom") == ["gphom"]
+
+
+# what each subcommand loads besides gphom, gphom.cli, gphom.errors and
+# gphom.graphs
+COMMAND_MODULES = {
+    "charpoly": ["spectral"],
+    "zeta": ["spectral"],
+    "census": ["spectral"],
+    "witt": ["spectral", "witt"],
+    "homotopy-eq": ["spectral", "witt", "homotopy"],
+    "explore": ["spectral", "witt", "homotopy"],
+    "cofibrant-replace": ["spectral", "witt", "model"],
+    "classify": ["spectral", "witt", "model"],
+    "lift": ["spectral", "witt", "model"],
+    "nset": ["dynamics"],
+    "zset": ["dynamics"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_imports_only_what_it_runs(tmp_path, command):
+    dot = tmp_path / "dot.json"
+    dot.write_text(json.dumps(morphism_to_json(identity(cycle_graph(1)))))
+    nset = tmp_path / "nset.json"
+    nset.write_text(json.dumps({"elements": ["a", "b"],
+                                "sigma": {"a": "b", "b": "a"}}))
+    argv = {
+        "homotopy-eq": ["cross", "uc4"],
+        "explore": ["--nodes", "2", "--arcs", "2"],
+        "classify": [str(dot)],
+        "lift": [str(dot)] * 4,
+        "nset": [str(nset)],
+        "zset": [str(nset)],
+    }.get(command, ["cross"])
+    code = f"import gphom.cli\nassert gphom.cli.run({[command, *argv]!r}) == 0"
+    expected = ["cli", "errors", "graphs", *COMMAND_MODULES[command]]
+    assert loaded_modules(code) == sorted(["gphom"] + [f"gphom.{m}" for m in expected])

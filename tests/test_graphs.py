@@ -330,8 +330,17 @@ def test_enumerate_morphisms_deeper_than_recursion_limit():
 def test_budget_guard_fires():
     X = cycle_graph(6)
     Y = undirected_cycle(6)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as e:
         enumerate_morphisms(X, Y, Budget(5))
+    assert str(e.value) == ("search budget of 5 exceeded in enumerate_morphisms, "
+                            "which needs at least 6")
+
+
+def test_is_isomorphic_budget_error_names_the_search():
+    with pytest.raises(BudgetExceeded) as e:
+        is_isomorphic(undirected_cycle(6), undirected_cycle(6), Budget(3))
+    assert str(e.value) == ("search budget of 3 exceeded in is_isomorphic, "
+                            "which needs at least 4")
 
 
 def test_is_isomorphic_examples():

@@ -141,8 +141,10 @@ def test_acyclic_matches_search_on_structured_maps():
 
 def test_acyclic_spends_the_pullback_size():
     # C_4 + C_4 -> C_4: every fibre has two nodes or two arcs
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as e:
         is_acyclic_bounded(cycle_fold(4), 6, Budget(31))
+    assert str(e.value) == ("search budget of 31 exceeded in the acyclicity "
+                            "pullback, which needs at least 32")
     budget = Budget(32)
     assert not is_acyclic_bounded(cycle_fold(4), 6, budget)
     assert budget.used == 32
@@ -375,6 +377,18 @@ def test_find_lift_deeper_than_recursion_limit():
     assert budget.used == 1
 
 
+def test_find_lift_budget_error_names_the_search():
+    # i_4: 0 -> C_4 against C_4 -> C_1: one candidate arc per arc of C_4
+    C4 = cycle_graph(4)
+    to_loop = GraphMorphism(C4, cycle_graph(1), dict.fromkeys(C4.nodes, "0"),
+                            {a.id: "0" for a in C4.arcs})
+    p = LiftingProblem(left=initial_to_cycle(4), right=to_loop,
+                       top=GraphMorphism(EMPTY, C4, {}, {}), bottom=to_loop)
+    with pytest.raises(BudgetExceeded) as e:
+        find_lift(p, Budget(3))
+    assert str(e.value) == "search budget of 3 exceeded in find_lift, which needs at least 4"
+
+
 # ---------------------------------------------------------------------------
 # Factorization
 
@@ -597,8 +611,10 @@ def test_aperiodic_necklaces_order_arcs_by_id_string():
 
 
 def test_aperiodic_necklaces_budget_and_length():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as e:
         aperiodic_necklaces(cross_graph(), 6, Budget(10))
+    assert str(e.value) == ("search budget of 10 exceeded in aperiodic_necklaces, "
+                            "which needs at least 11")
     with pytest.raises(InvalidInput):
         aperiodic_necklaces(figure_eight(), 0)
 
@@ -666,3 +682,15 @@ def test_cofibrant_replacement_spends_its_size_first():
         cofibrant_replacement(cross_graph(), 40, budget)
     S = from_graph(cross_graph())
     assert budget.used == sum(n * S.witt(n) for n in range(1, 41)) > 10**12
+
+
+def test_cofibrant_replacement_budget_errors_name_the_phase():
+    # the size, 632 nodes to order 8, is spent first; then the necklace search
+    with pytest.raises(BudgetExceeded) as e:
+        cofibrant_replacement(cross_graph(), 8, Budget(100))
+    assert str(e.value) == ("search budget of 100 exceeded in cofibrant_replacement, "
+                            "which needs at least 632")
+    with pytest.raises(BudgetExceeded) as e:
+        cofibrant_replacement(cross_graph(), 8, Budget(700))
+    assert str(e.value) == ("search budget of 700 exceeded in aperiodic_necklaces, "
+                            "which needs at least 701")
