@@ -8,16 +8,17 @@ the graphs where every node has exactly one arc entering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InvalidGraph, InvalidInput, NotAnNGraph
-from .graphs import Arc, Graph, GraphMorphism, _periodic
+from .graphs import Arc, Graph, GraphMorphism, _Value, _periodic, _set
 
 
-@dataclass(frozen=True, repr=False)
-class FinNSet:
-    elements: tuple[str, ...]
-    sigma: dict[str, str] = field(hash=False)
+class FinNSet(_Value):
+    _hashed = ("elements",)
+
+    def __init__(self, elements: tuple[str, ...], sigma: dict[str, str]):
+        _set(self, "elements", elements)
+        _set(self, "sigma", sigma)
+        self.__post_init__()
 
     def __post_init__(self):
         elems = set(self.elements)
@@ -45,11 +46,14 @@ class FinZSet(FinNSet):
             raise InvalidInput("sigma must be a bijection for a Z-set")
 
 
-@dataclass(frozen=True, repr=False)
-class NSetMap:
-    source: FinNSet
-    target: FinNSet
-    map: dict[str, str] = field(hash=False)
+class NSetMap(_Value):
+    _hashed = ("source", "target")
+
+    def __init__(self, source: FinNSet, target: FinNSet, map: dict[str, str]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "map", map)
+        self.__post_init__()
 
     def __post_init__(self):
         if set(self.map) != set(self.source.elements):

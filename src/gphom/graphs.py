@@ -9,34 +9,85 @@ loudly instead of hanging.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import attrgetter
 
 from .errors import BudgetExceeded, InvalidGraph, InvalidInput
 
 DEFAULT_BUDGET = 10**7
 
+_set = object.__setattr__   # how each __init__ sets a field past _Value.__setattr__
 
-@dataclass(frozen=True)
-class Arc:
-    id: str
-    src: str
-    tgt: str
+
+class _Value:
+    """Base of the immutable value classes.  A subclass's fields are the
+    parameters of its __init__, which sets each with _set; _hashed names the
+    hashed ones when some field is a dict.  Plain classes, as importing
+    dataclasses costs every CLI process milliseconds (it imports inspect)."""
+
+    _hashed: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        init = cls.__init__.__code__
+        cls._fields = init.co_varnames[1:init.co_argcount]
+        cls._key = attrgetter(*cls._fields)
+        cls._hash_key = attrgetter(*(cls._hashed or cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._hash_key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _cached:
+    """functools.cached_property without its lock; it defines no __set__,
+    so the value stored on the instance is found before it."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        _set(obj, self.name, value)
+        return value
+
+
+class Arc(_Value):
+    def __init__(self, id: str, src: str, tgt: str):
+        _set(self, "id", id)
+        _set(self, "src", src)
+        _set(self, "tgt", tgt)
 
 
 def _unvalidated(cls, **fields):
-    """cls(**fields) for a frozen dataclass, skipping __init__ and so its
-    __post_init__ checks; filling __dict__ beats object.__setattr__ per field."""
+    """cls(**fields) skipping __init__ and so its __post_init__ checks;
+    filling __dict__ beats _set per field."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-@dataclass(frozen=True)
-class Graph:
-    nodes: tuple[str, ...]
-    arcs: tuple[Arc, ...]
+class Graph(_Value):
+    def __init__(self, nodes: tuple[str, ...], arcs: tuple[Arc, ...]):
+        _set(self, "nodes", nodes)
+        _set(self, "arcs", arcs)
+        self.__post_init__()
 
     @classmethod
     def _trusted(cls, nodes: tuple[str, ...], arcs: tuple[Arc, ...]) -> "Graph":
@@ -55,29 +106,29 @@ class Graph:
             if a.src not in node_set or a.tgt not in node_set:
                 raise InvalidGraph(f"arc {a.id!r} has dangling endpoint")
 
-    @cached_property
+    @_cached
     def node_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.nodes)}
 
-    @cached_property
+    @_cached
     def arc_by_id(self) -> dict[str, Arc]:
         return {a.id: a for a in self.arcs}
 
-    @cached_property
+    @_cached
     def out_arcs(self) -> dict[str, tuple[Arc, ...]]:
         out: dict[str, list[Arc]] = {v: [] for v in self.nodes}
         for a in self.arcs:
             out[a.src].append(a)
         return {v: tuple(arcs) for v, arcs in out.items()}
 
-    @cached_property
+    @_cached
     def in_arcs(self) -> dict[str, tuple[Arc, ...]]:
         inc: dict[str, list[Arc]] = {v: [] for v in self.nodes}
         for a in self.arcs:
             inc[a.tgt].append(a)
         return {v: tuple(arcs) for v, arcs in inc.items()}
 
-    @cached_property
+    @_cached
     def cyclic_blocks(self) -> list[list[list[int]]]:
         """_cyclic_blocks of the arcs; read by the spectral routes."""
         idx = self.node_index
@@ -96,12 +147,16 @@ class Graph:
         return f"Graph({len(self.nodes)} nodes, {len(self.arcs)} arcs)"
 
 
-@dataclass(frozen=True, repr=False)
-class GraphMorphism:
-    source: Graph
-    target: Graph
-    node_map: dict[str, str] = field(hash=False)
-    arc_map: dict[str, str] = field(hash=False)
+class GraphMorphism(_Value):
+    _hashed = ("source", "target")
+
+    def __init__(self, source: Graph, target: Graph, node_map: dict[str, str],
+                 arc_map: dict[str, str]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "node_map", node_map)
+        _set(self, "arc_map", arc_map)
+        self.__post_init__()
 
     @classmethod
     def _trusted(cls, source: Graph, target: Graph, node_map: dict[str, str],

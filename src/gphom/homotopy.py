@@ -10,20 +10,19 @@ up to the degree pin down the polynomial), and the two routes must agree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import spectral
 from .errors import InternalInconsistency, InvalidInput
-from .graphs import (Arc, Budget, Graph, cross_graph, cycle_graph,
-                     figure_eight, is_isomorphic, path_graph,
+from .graphs import (Arc, Budget, Graph, _Value, _set, cross_graph,
+                     cycle_graph, figure_eight, is_isomorphic, path_graph,
                      undirected_cycle)
 from .spectral import IntPolynomial, graph_reversed_char_poly
 from .witt import from_graph
 
 
-@dataclass(frozen=True)
-class HomotopySignature:
-    reversed_char_poly: IntPolynomial
+class HomotopySignature(_Value):
+    def __init__(self, reversed_char_poly: IntPolynomial):
+        _set(self, "reversed_char_poly", reversed_char_poly)
 
     def format(self) -> str:
         return self.reversed_char_poly.format("u")
@@ -109,11 +108,13 @@ def enumerate_small_graphs(node_budget: int, arc_budget: int):
                 yield Graph(nodes, arcs)
 
 
-@dataclass(frozen=True)
-class SignatureBucket:
-    signature: HomotopySignature
-    members: tuple[tuple[str, Graph], ...]
-    nonisomorphic_pairs: tuple[tuple[str, str], ...]
+class SignatureBucket(_Value):
+    def __init__(self, signature: HomotopySignature,
+                 members: tuple[tuple[str, Graph], ...],
+                 nonisomorphic_pairs: tuple[tuple[str, str], ...]):
+        _set(self, "signature", signature)
+        _set(self, "members", members)
+        _set(self, "nonisomorphic_pairs", nonisomorphic_pairs)
 
 
 def explore(node_budget: int, arc_budget: int,

@@ -15,11 +15,10 @@ as the closed walks that are Lyndon words over the arcs ordered by id.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidGraph, InvalidInput
-from .graphs import (Arc, Budget, Graph, GraphMorphism, _morphisms_over,
-                     _periodic, arrow_graph, coproduct_with_injections,
+from .graphs import (Arc, Budget, Graph, GraphMorphism, _Value, _morphisms_over,
+                     _periodic, _set, arrow_graph, coproduct_with_injections,
                      cycle_graph, dot_graph, pullback, pushout, EMPTY)
 from .spectral import closed_walk_counts
 from .witt import from_graph
@@ -166,11 +165,11 @@ def cycle_projection_via_pushout(n: int, k: int):
     return Q, from_f
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(_Value):
     """J = {s}, K = {i_n, j_n : 1 <= n <= bound}, I = J + K."""
 
-    bound: int
+    def __init__(self, bound: int):
+        _set(self, "bound", bound)
 
     @property
     def J(self) -> list[GraphMorphism]:
@@ -192,15 +191,17 @@ class GeneratorSet:
 # ---------------------------------------------------------------------------
 # Lifting
 
-@dataclass(frozen=True, repr=False)
-class LiftingProblem:
+class LiftingProblem(_Value):
     """A commuting square: left l: X->Y, right r: A->B, top f: X->A,
     bottom g: Y->B, with r.f == g.l."""
 
-    left: GraphMorphism
-    right: GraphMorphism
-    top: GraphMorphism
-    bottom: GraphMorphism
+    def __init__(self, left: GraphMorphism, right: GraphMorphism,
+                 top: GraphMorphism, bottom: GraphMorphism):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "top", top)
+        _set(self, "bottom", bottom)
+        self.__post_init__()
 
     def __post_init__(self):
         l, r, f, g = self.left, self.right, self.top, self.bottom
@@ -335,11 +336,12 @@ def aperiodic_necklaces(X: Graph, n: int,
     return [w for w in _lyndon_walks(X, n, budget or Budget()) if len(w) == n]
 
 
-@dataclass(frozen=True, repr=False)
-class CycleResolution:
-    graph: Graph
-    counit: GraphMorphism                  # combined morphism onto X
-    witt_summary: dict[int, int]
+class CycleResolution(_Value):
+    def __init__(self, graph: Graph, counit: GraphMorphism,
+                 witt_summary: dict[int, int]):
+        _set(self, "graph", graph)
+        _set(self, "counit", counit)   # combined morphism onto X
+        _set(self, "witt_summary", witt_summary)
 
     def __repr__(self):
         return f"CycleResolution({self.graph!r})"

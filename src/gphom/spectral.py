@@ -19,20 +19,19 @@ No floating point anywhere: all coefficients are Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import and_, mul
 
 from .errors import IntegralityViolation, InvalidInput
-from .graphs import Graph, _cyclic_blocks
+from .graphs import Graph, _Value, _cyclic_blocks, _set
 
 _PACK_BITS = 1 << 24   # bit budget of one batch of packed vectors
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(_Value):
     """Integer polynomial, coefficients ascending by degree."""
 
-    coefficients: tuple[int, ...]
+    def __init__(self, coefficients: tuple[int, ...]):
+        _set(self, "coefficients", coefficients)
 
     @staticmethod
     def from_list(coeffs) -> "IntPolynomial":
@@ -155,12 +154,14 @@ def _det(blocks: list[list[list[int]]]) -> IntPolynomial:
 
 
 def graph_reversed_char_poly(X: Graph) -> IntPolynomial:
-    """det(I - uA) for X's adjacency matrix A, without building A; kept in
-    X.__dict__, as X.cyclic_blocks is, so Berkowitz runs once per graph."""
-    memo = vars(X)
-    if "_reversed_char_poly" not in memo:
-        memo["_reversed_char_poly"] = _det(X.cyclic_blocks)
-    return memo["_reversed_char_poly"]
+    """det(I - uA) for X's adjacency matrix A, without building A; kept on
+    X, as X.cyclic_blocks is, so Berkowitz runs once per graph.  Set with
+    _set, not through vars(X), which on Python 3.11 slows X's attribute loads."""
+    poly = getattr(X, "_reversed_char_poly", None)
+    if poly is None:
+        poly = _det(X.cyclic_blocks)
+        _set(X, "_reversed_char_poly", poly)
+    return poly
 
 
 def graph_char_poly(X: Graph) -> IntPolynomial:
@@ -245,13 +246,15 @@ def cycle_count(X: Graph, n: int) -> int:
     return closed_walk_counts(X, n)[-1]
 
 
-@dataclass(frozen=True)
-class ZetaSeries:
+class ZetaSeries(_Value):
     """1/det(I - uA) as a rational form plus its truncated expansion."""
 
-    denominator: IntPolynomial
-    truncation_order: int
-    coefficients: tuple[int, ...]   # z_0 .. z_N
+    def __init__(self, denominator: IntPolynomial, truncation_order: int,
+                 coefficients: tuple[int, ...]):   # z_0 .. z_N
+        _set(self, "denominator", denominator)
+        _set(self, "truncation_order", truncation_order)
+        _set(self, "coefficients", coefficients)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.coefficients and self.coefficients[0] != 1:

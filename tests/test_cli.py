@@ -476,10 +476,13 @@ def test_deterministic_output(capsys):
 
 
 def loaded_modules(code: str) -> list[str]:
-    """The gphom modules a fresh interpreter holds after running `code`."""
+    """The gphom modules a fresh interpreter holds after running `code`, and
+    dataclasses and inspect if it holds them, which no gphom module needs:
+    importing them costs every process milliseconds."""
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import json, sys\n" + code + "\nprint(json.dumps(sorted(m for m in "
-             "sys.modules if m.startswith('gphom'))), file=sys.stderr)")
+             "sys.modules if m.startswith('gphom') or "
+             "m in ('dataclasses', 'inspect'))), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
@@ -488,6 +491,12 @@ def loaded_modules(code: str) -> list[str]:
 
 def test_import_gphom_loads_no_submodule():
     assert loaded_modules("import gphom") == ["gphom"]
+
+
+def test_importing_every_submodule_loads_neither_dataclasses_nor_inspect():
+    modules = ["gphom"] + [f"gphom.{m}" for m in (
+        "cli", "dynamics", "errors", "graphs", "homotopy", "model", "spectral", "witt")]
+    assert loaded_modules("import " + ", ".join(modules)) == modules
 
 
 # what each subcommand loads besides gphom, gphom.cli, gphom.errors and

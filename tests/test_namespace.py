@@ -1,6 +1,8 @@
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +83,118 @@ def test_submodule_names_resolve_in_a_fresh_interpreter():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="^module 'gphom' has no attribute 'nope'$"):
         gphom.nope
+
+
+
+def _two_cycle():
+    return gphom.Graph(("0", "1"),
+                       (gphom.Arc("a", "0", "1"), gphom.Arc("b", "1", "0")))
+
+
+def _morphism(swap=False):
+    """An automorphism of the 2-cycle, as GraphMorphism arguments."""
+    if swap:
+        return _two_cycle(), _two_cycle(), {"0": "1", "1": "0"}, {"a": "b", "b": "a"}
+    return _two_cycle(), _two_cycle(), {"0": "0", "1": "1"}, {"a": "a", "b": "b"}
+
+
+def _poly():
+    return gphom.IntPolynomial((1, 0, -1))
+
+
+def _square(top=None):
+    ident = [gphom.GraphMorphism(*_morphism()) for _ in range(4)]
+    return ident[0], ident[1], top or ident[2], ident[3]
+
+
+def _swap():
+    return gphom.FinNSet(("a", "b"), {"a": "b", "b": "a"})
+
+
+G2 = "Graph(2 nodes, 2 arcs)"
+POLY = "IntPolynomial(coefficients=(1, 0, -1))"
+# class name: (field names, constructor arguments, the same arguments with only
+# a dict field changed or None, repr); the arguments are built afresh per call
+VALUE_CASES = {
+    "Arc": (("id", "src", "tgt"), lambda: ("a", "0", "1"), None,
+            "Arc(id='a', src='0', tgt='1')"),
+    "Graph": (("nodes", "arcs"), lambda: (("0", "1"), _two_cycle().arcs), None, G2),
+    "GraphMorphism": (("source", "target", "node_map", "arc_map"), _morphism,
+                      lambda: _morphism(swap=True), f"GraphMorphism({G2} -> {G2})"),
+    "IntPolynomial": (("coefficients",), lambda: ((1, 0, -1),), None, POLY),
+    "ZetaSeries": (("denominator", "truncation_order", "coefficients"),
+                   lambda: (_poly(), 3, (1, 0, 1, 0)), None,
+                   f"ZetaSeries(denominator={POLY}, truncation_order=3, "
+                   "coefficients=(1, 0, 1, 0))"),
+    "HomotopySignature": (("reversed_char_poly",), lambda: (_poly(),), None,
+                          f"HomotopySignature(reversed_char_poly={POLY})"),
+    "SignatureBucket": (("signature", "members", "nonisomorphic_pairs"),
+                        lambda: (gphom.HomotopySignature(_poly()),
+                                 (("c2", _two_cycle()),), ()), None,
+                        f"SignatureBucket(signature=HomotopySignature("
+                        f"reversed_char_poly={POLY}), members=(('c2', {G2}),), "
+                        "nonisomorphic_pairs=())"),
+    "GeneratorSet": (("bound",), lambda: (2,), None, "GeneratorSet(bound=2)"),
+    "LiftingProblem": (("left", "right", "top", "bottom"), _square, None,
+                       f"LiftingProblem(GraphMorphism({G2} -> {G2}) vs "
+                       f"GraphMorphism({G2} -> {G2}))"),
+    "CycleResolution": (("graph", "counit", "witt_summary"),
+                        lambda: (_two_cycle(), gphom.identity(_two_cycle()),
+                                 {1: 0, 2: 1}),
+                        None, f"CycleResolution({G2})"),
+    "FinNSet": (("elements", "sigma"), lambda: (("a", "b"), {"a": "b", "b": "a"}),
+                lambda: (("a", "b"), {"a": "a", "b": "a"}), "FinNSet(2 elements)"),
+    "FinZSet": (("elements", "sigma"), lambda: (("a", "b"), {"a": "b", "b": "a"}),
+                lambda: (("a", "b"), {"a": "a", "b": "b"}), "FinZSet(2 elements)"),
+    "NSetMap": (("source", "target", "map"),
+                lambda: (_swap(), _swap(), {"a": "a", "b": "b"}),
+                lambda: (_swap(), _swap(), {"a": "b", "b": "a"}),
+                "NSetMap(FinNSet(2 elements) -> FinNSet(2 elements))"),
+}
+
+# class name: (invalid constructor arguments, the error they raise)
+INVALID = {
+    "Graph": (lambda: (("0", "0"), ()), "InvalidGraph"),
+    "GraphMorphism": (lambda: (_two_cycle(), _two_cycle(), {}, {}), "InvalidGraph"),
+    "ZetaSeries": (lambda: (_poly(), 1, (2, 0)), "IntegralityViolation"),
+    "LiftingProblem": (lambda: _square(gphom.GraphMorphism(*_morphism(swap=True))),
+                       "InvalidGraph"),
+    "FinNSet": (lambda: (("a", "a"), {"a": "a"}), "InvalidInput"),
+    "FinZSet": (lambda: (("a", "b"), {"a": "a", "b": "a"}), "InvalidInput"),
+    "NSetMap": (lambda: (_swap(), _swap(), {"a": "a", "b": "a"}), "InvalidInput"),
+}
+
+
+@pytest.mark.trusted_construction
+@pytest.mark.parametrize("name", VALUE_CASES)
+def test_value_class_surface(name):
+    cls = getattr(gphom.homotopy if name == "SignatureBucket" else gphom, name)
+    fields, args, other_dict, text = VALUE_CASES[name]
+    x, y = cls(*args()), cls(**dict(zip(fields, args())))
+    assert [getattr(x, f) for f in fields] == list(args())
+    assert x == y and not x != y and x is not y
+    assert x != tuple(args()) and x.__eq__(object()) is NotImplemented
+    assert repr(x) == text
+    for f in fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{f}'$"):
+            setattr(x, f, getattr(y, f))
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{f}'$"):
+            delattr(x, f)
+    copies = [pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)]
+    assert all(type(c) is cls and c == x for c in copies)
+    if name == "CycleResolution":   # its hash covers witt_summary, a dict
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(x)
+    else:
+        assert hash(x) == hash(y) == hash(copies[0])
+    if other_dict:   # the dict is compared but not hashed
+        z = cls(*other_dict())
+        assert z != x and hash(z) == hash(x)
+    if name == "FinZSet":
+        assert x != gphom.FinNSet(*args()) and gphom.FinNSet(*args()) != x
+    if name in INVALID:
+        bad, error = INVALID[name]
+        with pytest.raises(getattr(gphom, error)):
+            cls(*bad())
+        if name in ("Graph", "GraphMorphism"):   # _trusted skips validation
+            assert cls._trusted(*bad()).__dict__ == dict(zip(fields, bad()))
