@@ -337,6 +337,8 @@ def aperiodic_necklaces(X: Graph, n: int,
 
 
 class CycleResolution(_Value):
+    _hashed = ("graph", "counit")
+
     def __init__(self, graph: Graph, counit: GraphMorphism,
                  witt_summary: dict[int, int]):
         _set(self, "graph", graph)

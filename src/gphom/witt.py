@@ -2,15 +2,16 @@
 
 The closed-walk counts c_n of a graph and the orbit counts s_n of its
 periodic bi-infinite paths are linked by the triangular system
-c_n = sum_{d|n} d*s_d, inverted exactly by Moebius sums.  Instances are
-lazy: components are computed and memoized on demand, so objects with
-infinite support are usable at any finite depth.
+c_n = sum_{d|n} d*s_d, solved for s_n from the s_d of the proper divisors
+of n.  Instances are lazy: components are computed and memoized on demand,
+so objects with infinite support are usable at any finite depth.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 from .errors import InvalidInput, NotRealizable
 from .graphs import Graph
@@ -18,48 +19,21 @@ from .spectral import (expand_log_exp, graph_reversed_char_poly,
                        newton_power_sums)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def divisors(n: int) -> tuple[int, ...]:
     """Divisors of n ascending, by trial division up to sqrt(n); () if n < 1."""
     small = [d for d in range(1, isqrt(max(n, 0)) + 1) if n % d == 0]
     return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
 
-@lru_cache(maxsize=None)
-def mobius(n: int) -> int:
-    """Moebius function by trial factorization; n stays desk-sized here."""
-    if n < 1:
-        raise InvalidInput("mobius needs n >= 1")
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
-
-
 def ghost_to_witt(c, n: int) -> int:
-    """s_n = (1/n) * sum_{d|n} mobius(n/d) * c_d, with realizability checks.
+    """s_n from the ghost components c_d of the divisors d of n, with
+    realizability checks at every divisor.
 
-    `c` maps divisors of n to integers (a callable or a mapping).
+    `c` is a callable or a mapping; a mapping that lacks a divisor of n
+    raises InvalidInput.
     """
-    if n < 1:
-        raise InvalidInput("witt index must be >= 1")
-    get = c if callable(c) else lambda d: c[d]
-    total = sum(mobius(n // d) * get(d) for d in divisors(n))
-    if total % n != 0:
-        raise NotRealizable(f"divisor sum {total} at n={n} is not divisible by {n}")
-    s = total // n
-    if s < 0:
-        raise NotRealizable(f"negative orbit count s_{n} = {s}")
-    return s
+    return (AlmostFiniteZSet(c) if callable(c) else from_ghost(c)).witt(n)
 
 
 def witt_to_ghost(s, n: int) -> int:
@@ -88,9 +62,21 @@ class AlmostFiniteZSet:
         return self._ghost[n]
 
     def witt(self, n: int) -> int:
-        if n not in self._witt:
-            self._witt[n] = ghost_to_witt(self.ghost, n)
-        return self._witt[n]
+        """s_n by n*s_n = c_n - sum_{d|n, d<n} d*s_d, which certifies the
+        s_d of the proper divisors first."""
+        if n in self._witt:
+            return self._witt[n]
+        if n < 1:
+            raise InvalidInput("witt index must be >= 1")
+        lower = sum(d * self.witt(d) for d in divisors(n)[:-1])
+        total = self.ghost(n) - lower
+        s, r = divmod(total, n)
+        if r:
+            raise NotRealizable(f"divisor sum {total} at n={n} is not divisible by {n}")
+        if s < 0:
+            raise NotRealizable(f"negative orbit count s_{n} = {s}")
+        self._witt[n] = s
+        return s
 
     def ghost_row(self, upto: int) -> list[int]:
         return [self.ghost(n) for n in range(1, upto + 1)]
@@ -166,8 +152,10 @@ def zeta_exp_form(S: AlmostFiniteZSet, N: int) -> list[int]:
 def zeta_product_form(S: AlmostFiniteZSet, N: int) -> list[int]:
     """Coefficients of prod_{n>=1} (1 - u^n)^{-s_n} to order N.
 
-    Each factor contributes binomial(s_n + m - 1, m) at u^{nm}; factors
-    with n > N cannot affect the truncation.
+    Each factor sum_m binomial(s_n + m - 1, m) u^{nm} multiplies the list in
+    place, highest degree first, reading only the multiples of n: O(N^2/n)
+    per factor and O(N^2 log N) in all.  Factors with n > N cannot affect
+    the truncation.
     """
     if N < 0:
         raise InvalidInput("truncation order must be >= 0")
@@ -176,20 +164,9 @@ def zeta_product_form(S: AlmostFiniteZSet, N: int) -> list[int]:
         s_n = S.witt(n)
         if s_n == 0:
             continue
-        # multiply by (1 - u^n)^{-s_n} = sum_m C(s_n+m-1, m) u^{nm}
-        factor = [0] * (N + 1)
-        m = 0
-        term = 1
-        while n * m <= N:
-            factor[n * m] = term
-            term = term * (s_n + m) // (m + 1)
-            m += 1
-        out = [0] * (N + 1)
-        for i, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            for j in range(0, N + 1 - i):
-                if factor[j]:
-                    out[i + j] += a * factor[j]
-        coeffs = out
+        binom = [s_n]   # binomial(s_n + m - 1, m) for m = 1 .. N // n
+        for m in range(1, N // n):
+            binom.append(binom[-1] * (s_n + m) // (m + 1))
+        for k in range(N, n - 1, -1):
+            coeffs[k] += sum(map(mul, binom, coeffs[k - n::-n]))
     return coeffs

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gphom.errors import InvalidInput, NotRealizable
 from gphom.graphs import (Arc, Graph, GraphMorphism, cycle_graph,
                           enumerate_morphisms)
 from gphom.homotopy import enumerate_small_graphs
@@ -270,6 +271,40 @@ def dense_char_poly(A: list[list[int]]) -> IntPolynomial:
                     new[i + m + 1] -= tm * c
         coeffs = new
     return IntPolynomial.from_list(list(reversed(coeffs)))
+
+
+def mobius(n: int) -> int:
+    """Moebius function by trial factorization."""
+    if n < 1:
+        raise InvalidInput("mobius needs n >= 1")
+    result = 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if m > 1:
+        result = -result
+    return result
+
+
+def mobius_witt(c, n: int) -> int:
+    """Witt-coordinate oracle: s_n = (1/n) * sum_{d|n} mobius(n/d) * c_d,
+    every c_d read from the callable c, with the library's realizability
+    errors.  Independent of the divisor recursion in gphom.witt."""
+    if n < 1:
+        raise InvalidInput("witt index must be >= 1")
+    total = sum(mobius(n // d) * c(d) for d in range(1, n + 1) if n % d == 0)
+    if total % n != 0:
+        raise NotRealizable(f"divisor sum {total} at n={n} is not divisible by {n}")
+    s = total // n
+    if s < 0:
+        raise NotRealizable(f"negative orbit count s_{n} = {s}")
+    return s
 
 
 def count_calls(monkeypatch, module, name) -> list:

@@ -13,6 +13,7 @@ from gphom.errors import InvalidInput
 from gphom.graphs import (Arc, EMPTY, Graph, GraphMorphism, cross_graph,
                           cycle_graph, graph_to_json, morphism_to_json,
                           identity, undirected_cycle)
+from gphom.homotopy import builtin_family
 from gphom.model import (cycle_fold, cycle_projection, initial_to_cycle,
                          source_inclusion)
 
@@ -37,6 +38,15 @@ def test_load_graph_builtins():
     assert load_graph("cycle:3") == cycle_graph(3)
     with pytest.raises(InvalidInput):
         load_graph("cycle:x")
+
+
+def test_every_builtin_family_name_loads_to_an_equal_graph():
+    # homotopy.builtin_family and cli.load_graph each spell the builtin names
+    family = builtin_family(6, 16)
+    assert {name.partition(":")[0] for name, _ in family} == {
+        "cycle", "ucycle", "uc4", "path", "figure-eight", "cross"}
+    for name, G in family:
+        assert load_graph(name) == G, name
 
 
 def test_homotopy_eq_cross_uc4(capsys, tmp_path):
@@ -389,10 +399,16 @@ _FILE_ARGS = {"lift": 4, "homotopy-eq": 2}
     (("explore", "--nodes", "2", "--arcs", "2", "--budget", "0"), 3),
     (("classify", "s.json", "--upto", "0"), 2),
     (("census", "cycle:0"), 2),
+    (("classify", "badmap.json"), 2),
+    (("nset", "badnset.json"), 2),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
 def test_error_contract(capsys, monkeypatch, tmp_path, argv, code):
     # one error line on stderr, nothing on stdout, and the exit code
     (tmp_path / "malformed.json").write_text("{not json")
+    badmap = morphism_to_json(identity(cycle_graph(2)))
+    badmap["node_map"] = {"0": 0, "1": 1}
+    (tmp_path / "badmap.json").write_text(json.dumps(badmap))
+    (tmp_path / "badnset.json").write_text('{"elements": "ab", "sigma": {}}')
     # the square of test_lift_no_lift, which needs a search
     write_morphisms(tmp_path, left=initial_to_cycle(1),
                     right=cycle_projection(1, 2),

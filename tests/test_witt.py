@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from gphom.errors import InvalidInput, NotRealizable
 from gphom.graphs import coproduct, cross_graph, cycle_graph, figure_eight, product
+from gphom.spectral import zeta_series
 from gphom.witt import (AlmostFiniteZSet, ZERO, burnside_add, burnside_mul,
                         divisors, from_ghost, from_graph, from_witt,
-                        ghost_to_witt, mobius, witt_to_ghost,
+                        ghost_to_witt, witt_to_ghost,
                         zeta_exp_form, zeta_product_form)
 
-from conftest import brute_force_necklaces, random_graph
+from conftest import brute_force_necklaces, mobius, mobius_witt, random_graph
 
 
 def test_mobius_values():
@@ -104,7 +105,7 @@ def test_witt_index_must_be_positive():
     for bad in (lambda: S.witt(0), lambda: S.witt(-3),
                 lambda: from_witt({1: 1}).witt(0), lambda: ghost_to_witt({}, 0),
                 lambda: ghost_to_witt(lambda d: 1, -2)):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^witt index must be >= 1$"):
             bad()
     assert S.witt(2) == 4
 
@@ -158,9 +159,10 @@ def test_zeta_product_form_examples():
 
 def test_product_form_matches_exp_form(small_corpus):
     rnd = random.Random(18)
-    for X in rnd.sample(small_corpus, 20):
+    for X in [figure_eight(), cross_graph()] + rnd.sample(small_corpus, 20):
         S = from_graph(X)
-        assert zeta_product_form(S, 8) == zeta_exp_form(S, 8)
+        assert zeta_product_form(S, 120) == zeta_exp_form(S, 120) == \
+            list(zeta_series(X, 120).coefficients)
 
 
 def test_lazy_memoization_and_infinite_support():
@@ -174,3 +176,62 @@ def test_lazy_memoization_and_infinite_support():
     S.witt(4)
     S.witt(4)
     assert calls.count(4) == 1
+
+
+def row_to_first_error(witt, upto: int) -> list:
+    """witt(n) for n = 1..upto in index order; the first index that fails
+    ends the row with (n, error type, message)."""
+    row = []
+    for n in range(1, upto + 1):
+        try:
+            row.append(witt(n))
+        except (InvalidInput, NotRealizable) as e:
+            row.append((n, type(e), str(e)))
+            break
+    return row
+
+
+def oracle_row(c, upto: int) -> list:
+    return row_to_first_error(lambda n: mobius_witt(c, n), upto)
+
+
+def test_witt_recursion_matches_mobius_oracle_on_corpus(small_corpus):
+    rnd = random.Random(25)
+    for X in rnd.sample(small_corpus, 30):
+        S = from_graph(X)
+        assert row_to_first_error(S.witt, 200) == oracle_row(S.ghost, 200)
+
+
+def test_witt_recursion_matches_mobius_oracle_on_vectors():
+    rnd = random.Random(26)
+    outcomes = set()
+    for _ in range(150):
+        s = {n: rnd.randint(0, 9) for n in rnd.sample(range(1, 40), rnd.randint(1, 8))}
+        expected = [s.get(n, 0) for n in range(1, 40)]
+        assert row_to_first_error(from_witt(s).witt, 39) == expected
+        c = {n: witt_to_ghost(s, n) for n in range(1, 40)}
+        assert oracle_row(c.__getitem__, 39) == expected
+        assert [ghost_to_witt(c, n) for n in range(1, 40)] == expected
+        # one perturbed component: realizable again, or an error at or after it
+        m = rnd.randrange(1, 40)
+        c[m] += rnd.choice((-1, 1)) * rnd.randint(1, 3 * m)
+        row = row_to_first_error(from_ghost(c).witt, 39)
+        assert row == oracle_row(c.__getitem__, 39)
+        outcomes.add(row[-1][2].split()[0] if isinstance(row[-1], tuple) else "ok")
+    for _ in range(150):
+        c = {n: rnd.randint(-3, 20) for n in range(1, 13)}
+        assert row_to_first_error(from_ghost(c).witt, 12) == oracle_row(c.__getitem__, 12)
+    assert outcomes == {"ok", "divisor", "negative"}
+
+
+def test_witt_direct_calls_raise_at_the_first_failing_divisor():
+    # s_2 = 1/2 is not an integer, though the Moebius sum at 4 is 4
+    c = {1: 0, 2: 1, 4: 5}
+    for fail in (lambda: from_ghost(c).witt(4), lambda: ghost_to_witt(c, 4)):
+        with pytest.raises(NotRealizable,
+                           match="^divisor sum 1 at n=2 is not divisible by 2$"):
+            fail()
+    # a mapping that lacks a divisor is an input error, not a KeyError
+    with pytest.raises(InvalidInput, match="^ghost component c_1 not provided$"):
+        ghost_to_witt({2: 4, 4: 16}, 4)
+
