@@ -53,13 +53,17 @@ def load_graph(name: str) -> Graph:
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise InvalidInput(f"cannot read {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise InvalidInput(f"{path}: malformed JSON at line {e.lineno}, "
                            f"column {e.colno}") from e
+    except UnicodeDecodeError as e:
+        raise InvalidInput(f"{path}: not UTF-8 text at byte {e.start}") from e
+    except RecursionError as e:
+        raise InvalidInput(f"{path}: JSON nested too deeply") from e
 
 
 def _upto(args, *graphs: Graph) -> int:
@@ -350,6 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts may run past the 4,300 digits that int -> str allows by
+    # default (Python 3.10.7 on); the limit is process-wide, so it is
+    # restored for in-process callers
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args.budget = _resolve_budget(args.budget)
         return args.fn(args)
@@ -359,6 +369,9 @@ def run(argv=None) -> int:
     except GphomError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def main():

@@ -628,22 +628,9 @@ def enumerate_morphisms(X: Graph, Y: Graph,
                                 (node_label, arc_label), {}, {}, budget))
 
 
-def _neighbours(G: Graph) -> dict[str, tuple[str, ...]]:
-    """Neighbours in the underlying undirected graph, loops left out, each
-    listed once in the order of the arcs: a dict keeps that order, so the
-    search below does not depend on string hashing."""
-    nbrs: dict[str, dict[str, None]] = {v: {} for v in G.nodes}
-    for a in G.arcs:
-        if a.src != a.tgt:
-            nbrs[a.src][a.tgt] = None
-            nbrs[a.tgt][a.src] = None
-    return {v: tuple(ns) for v, ns in nbrs.items()}
-
-
-def is_isomorphic(X: Graph, Y: Graph,
-                  budget: Budget | None = None) -> tuple[bool, GraphMorphism | None]:
-    """Decide isomorphism by a connectivity-anchored backtracking search;
-    returns a witness when true.
+def _isomorphism(X: Graph, Y: Graph, budget: Budget) -> dict[str, str] | None:
+    """A node map of an isomorphism X -> Y, or None when there is none; the
+    search behind is_isomorphic, which builds no arc map.
 
     X's nodes are visited breadth first within each connected component, so
     every node but the first of its component has an earlier neighbour, its
@@ -652,32 +639,41 @@ def is_isomorphic(X: Graph, Y: Graph,
     with the mapped nodes on arc counts; checking only v's mapped neighbours
     suffices when w has as many mapped neighbours.  Graphs whose degree
     profiles or connected components' (nodes, arcs) sizes differ are
-    rejected before the search.  One budget step per candidate tried; an
-    explicit stack, so deep graphs cannot exhaust the recursion limit.
+    rejected before the search; each graph's arcs are read once.  One
+    budget step per candidate tried; an explicit stack, so deep graphs
+    cannot exhaust the recursion limit.
     """
-    budget = budget or Budget()
     budget.search = "is_isomorphic"
     if len(X.nodes) != len(Y.nodes) or len(X.arcs) != len(Y.arcs):
-        return False, None
+        return None
 
-    def degree_profile(G: Graph):
-        return sorted((G.indegree(v), G.outdegree(v)) for v in G.nodes)
-
-    if degree_profile(X) != degree_profile(Y):
-        return False, None
-
-    def arc_count(G: Graph):
+    def one_pass(G: Graph):
+        # arc counts per (src, tgt), keyed in first-arc order, and degrees
         cnt: dict[tuple[str, str], int] = {}
         for a in G.arcs:
-            cnt[(a.src, a.tgt)] = cnt.get((a.src, a.tgt), 0) + 1
-        return cnt
+            pair = a.src, a.tgt
+            cnt[pair] = cnt.get(pair, 0) + 1
+        ins = dict.fromkeys(G.nodes, 0)
+        outs = ins.copy()
+        for (s, t), k in cnt.items():
+            outs[s] += k
+            ins[t] += k
+        return cnt, ins, outs
 
-    cx, cy = arc_count(X), arc_count(Y)
-    nx, ny = _neighbours(X), _neighbours(Y)
+    (cx, ix, ox), (cy, iy, oy) = one_pass(X), one_pass(Y)
+    if (sorted(zip(ix.values(), ox.values()))
+            != sorted(zip(iy.values(), oy.values()))):
+        return None
 
-    def breadth_first(G: Graph, nbrs):
-        # G's nodes breadth first per connected component, their anchors,
-        # and the sorted (nodes, arcs) sizes of the components
+    def breadth_first(G: Graph, cnt, outs):
+        # neighbours in the underlying undirected graph, loops left out, in
+        # arc order (dict keys, so the search does not depend on string
+        # hashing); G's nodes breadth first per connected component, their
+        # anchors, and the sorted (nodes, arcs) sizes of the components
+        nbrs: dict[str, dict[str, None]] = {v: {} for v in G.nodes}
+        for s, t in cnt:
+            if s != t:
+                nbrs[s][t] = nbrs[t][s] = None
         order: list[str] = []
         anchor: list[str | None] = []
         sizes = []
@@ -698,20 +694,17 @@ def is_isomorphic(X: Graph, Y: Graph,
                         placed.add(t)
                         order.append(t)
                         anchor.append(u)
-            sizes.append((len(order) - start,
-                          sum(len(G.out_arcs[v]) for v in order[start:])))
-        return order, anchor, sorted(sizes)
+            sizes.append((len(order) - start, sum(outs[v] for v in order[start:])))
+        return nbrs, order, anchor, sorted(sizes)
 
-    order, anchor, sizes = breadth_first(X, nx)
-    if breadth_first(Y, ny)[2] != sizes:
-        return False, None
+    nx, order, anchor, sizes = breadth_first(X, cx, ox)
+    ny, _, _, y_sizes = breadth_first(Y, cy, oy)
+    if y_sizes != sizes:
+        return None
 
-    def local(G: Graph, cnt) -> dict[str, tuple[int, int, int]]:
-        # indegree, outdegree and loops: what a node's image must share
-        return {v: (len(G.in_arcs[v]), len(G.out_arcs[v]), cnt.get((v, v), 0))
-                for v in G.nodes}
-
-    lx, ly = local(X, cx), local(Y, cy)
+    # indegree, outdegree and loops: what a node's image must share
+    lx = {v: (ix[v], ox[v], cx.get((v, v), 0)) for v in X.nodes}
+    ly = {v: (iy[v], oy[v], cy.get((v, v), 0)) for v in Y.nodes}
 
     # back[i]: v's neighbours mapped before it, with the arc counts v -> u
     # and u -> v that their images must match
@@ -752,11 +745,18 @@ def is_isomorphic(X: Graph, Y: Graph,
             break
         stack.append(candidates(i + 1))
 
-    if len(node_map) < size:
+    return node_map if len(node_map) == size else None
+
+
+def is_isomorphic(X: Graph, Y: Graph,
+                  budget: Budget | None = None) -> tuple[bool, GraphMorphism | None]:
+    """Decide isomorphism by the connectivity-anchored backtracking search
+    of _isomorphism; returns a witness when true, whose arc map pairs up
+    the parallel arcs of each ordered node pair in arc id order."""
+    node_map = _isomorphism(X, Y, budget or Budget())
+    if node_map is None:
         return False, None
     node_map = {v: node_map[v] for v in X.nodes}   # in X's node order
-
-    # pair up parallel arcs deterministically per ordered node pair
     by_pair_y: dict[tuple[str, str], list[str]] = {}
     for a in sorted(Y.arcs, key=lambda a: a.id):
         by_pair_y.setdefault((a.src, a.tgt), []).append(a.id)

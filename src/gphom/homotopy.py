@@ -13,8 +13,8 @@ import itertools
 
 from . import spectral
 from .errors import InternalInconsistency, InvalidInput
-from .graphs import (Arc, Budget, Graph, _Value, _set, cross_graph,
-                     cycle_graph, figure_eight, is_isomorphic, path_graph,
+from .graphs import (Arc, Budget, Graph, _isomorphism, _Value, _set,
+                     cross_graph, cycle_graph, figure_eight, path_graph,
                      undirected_cycle)
 from .spectral import IntPolynomial, graph_reversed_char_poly
 from .witt import from_graph
@@ -123,11 +123,14 @@ def explore(node_budget: int, arc_budget: int,
     """Bucket a corpus of graphs by homotopy signature and flag buckets
     holding non-isomorphic members.
 
-    Within a bucket each member is tested for isomorphism against one
-    representative of every class found so far, so a bucket of m members
-    in c classes costs at most m * c searches, not m^2 / 2.  The flagged
-    pairs are those in different classes, in itertools.combinations order.
-    With graphs=None the built-in family within the budgets is used.
+    The buckets are keyed by the coefficients of det(I - uA), in sorted
+    order.  Within a bucket each member is tested for isomorphism against
+    one representative of every class found so far, by the search behind
+    graphs.is_isomorphic without its witness, so a bucket of m members in c
+    classes costs at most m * c searches, not m^2 / 2.  The flagged pairs
+    are those in different classes, in itertools.combinations order; a
+    bucket of one class has none.  With graphs=None the built-in family
+    within the budgets is used.
     """
     if node_budget < 0 or arc_budget < 0:
         raise InvalidInput("exploration budgets must be >= 0")
@@ -139,7 +142,7 @@ def explore(node_budget: int, arc_budget: int,
 
     buckets: dict[tuple, list[tuple[str, Graph]]] = {}
     for name, G in corpus:
-        key = signature(G).reversed_char_poly.coefficients
+        key = graph_reversed_char_poly(G).coefficients
         buckets.setdefault(key, []).append((name, G))
 
     out = []
@@ -152,14 +155,15 @@ def explore(node_budget: int, arc_budget: int,
         for _, G in members:
             for c, R in enumerate(reps):
                 if (len(R.nodes) == len(G.nodes) and len(R.arcs) == len(G.arcs)
-                        and is_isomorphic(R, G, budget)[0]):
+                        and _isomorphism(R, G, budget) is not None):
                     cls.append(c)
                     break
             else:
                 cls.append(len(reps))
                 reps.append(G)
         pairs = [(na, nb) for ((na, _), ca), ((nb, _), cb)
-                 in itertools.combinations(zip(members, cls), 2) if ca != cb]
+                 in itertools.combinations(zip(members, cls), 2)
+                 if ca != cb] if len(reps) > 1 else []
         out.append(SignatureBucket(HomotopySignature(IntPolynomial(key)),
                                    tuple(members), tuple(pairs)))
     return out

@@ -261,26 +261,6 @@ class ZetaSeries(_Value):
             raise IntegralityViolation("zeta series must start with 1")
 
 
-def expand_log_exp(ghost, N: int) -> list[int]:
-    """Coefficients of exp(sum_{n>=1} ghost(n) u^n / n) up to order N.
-
-    Uses the derivative recurrence k*z_k = sum_{i<=k} c_i z_{k-i} with exact
-    integer division; a remainder raises IntegralityViolation (integrality
-    is a theorem for graphs, so this doubles as a self-test).
-    """
-    c: list[int] = []
-    z = [1]
-    for k in range(1, N + 1):
-        c.append(ghost(k))
-        acc = sum(map(mul, c, reversed(z)))
-        q, r = divmod(acc, k)
-        if r:
-            raise IntegralityViolation(
-                f"zeta coefficient z_{k} = {acc}/{k} not integral")
-        z.append(q)
-    return z
-
-
 def zeta_series(X: Graph, N: int) -> ZetaSeries:
     """Zeta series of X to order N: the inverse Z of D = det(I - uA), checked
     against the closed-walk counts c_n, the coefficients of u Z'/Z = -u D' Z."""

@@ -15,8 +15,7 @@ from operator import mul
 
 from .errors import InvalidInput, NotRealizable
 from .graphs import Graph
-from .spectral import (expand_log_exp, graph_reversed_char_poly,
-                       newton_power_sums)
+from .spectral import graph_reversed_char_poly, newton_power_sums
 
 
 @lru_cache(maxsize=4096)
@@ -142,11 +141,6 @@ def burnside_mul(S: AlmostFiniteZSet, T: AlmostFiniteZSet) -> AlmostFiniteZSet:
     integral (NotRealizable here would indicate a bug, not bad input).
     """
     return AlmostFiniteZSet(lambda n: S.ghost(n) * T.ghost(n), label="product")
-
-
-def zeta_exp_form(S: AlmostFiniteZSet, N: int) -> list[int]:
-    """Coefficients of exp(sum c_n u^n / n) to order N."""
-    return expand_log_exp(S.ghost, N)
 
 
 def zeta_product_form(S: AlmostFiniteZSet, N: int) -> list[int]:

@@ -1,10 +1,11 @@
 import functools
 import itertools
 import random
+from operator import mul
 
 import pytest
 
-from gphom.errors import InvalidInput, NotRealizable
+from gphom.errors import IntegralityViolation, InvalidInput, NotRealizable
 from gphom.graphs import (Arc, Graph, GraphMorphism, cycle_graph,
                           enumerate_morphisms)
 from gphom.homotopy import enumerate_small_graphs
@@ -305,6 +306,33 @@ def mobius_witt(c, n: int) -> int:
     if s < 0:
         raise NotRealizable(f"negative orbit count s_{n} = {s}")
     return s
+
+
+def expand_log_exp(ghost, N: int) -> list[int]:
+    """Coefficients of exp(sum_{n>=1} ghost(n) u^n / n) up to order N.
+
+    Uses the derivative recurrence k*z_k = sum_{i<=k} c_i z_{k-i} with exact
+    integer division; a remainder raises IntegralityViolation (integrality
+    is a theorem for graphs, so this doubles as a self-test).
+    """
+    c: list[int] = []
+    z = [1]
+    for k in range(1, N + 1):
+        c.append(ghost(k))
+        acc = sum(map(mul, c, reversed(z)))
+        q, r = divmod(acc, k)
+        if r:
+            raise IntegralityViolation(
+                f"zeta coefficient z_{k} = {acc}/{k} not integral")
+        z.append(q)
+    return z
+
+
+def zeta_exp_form(S, N: int) -> list[int]:
+    """Zeta-series oracle for gphom.witt.zeta_product_form: coefficients of
+    exp(sum c_n u^n / n) to order N, from the ghost components of the
+    AlmostFiniteZSet S."""
+    return expand_log_exp(S.ghost, N)
 
 
 def count_calls(monkeypatch, module, name) -> list:

@@ -22,10 +22,10 @@ from gphom.model import (cofibrant_replacement, cycle_fold, find_lift,
 from gphom.spectral import (adjacency_matrix, char_poly, cycle_count,
                             newton_power_sums, reversed_char_poly, zeta_series)
 from gphom.witt import (divisors, from_graph, ghost_to_witt, witt_to_ghost,
-                        zeta_exp_form, zeta_product_form)
+                        zeta_product_form)
 
 import conftest
-from conftest import brute_force_necklaces, random_graph
+from conftest import brute_force_necklaces, random_graph, zeta_exp_form
 from test_model import _whisker_surjecting_squares, brute_force_cofibrant
 
 

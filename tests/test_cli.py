@@ -401,10 +401,14 @@ _FILE_ARGS = {"lift": 4, "homotopy-eq": 2}
     (("census", "cycle:0"), 2),
     (("classify", "badmap.json"), 2),
     (("nset", "badnset.json"), 2),
+    (("charpoly", "notutf8.json"), 2),
+    (("charpoly", "nested.json"), 2),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
 def test_error_contract(capsys, monkeypatch, tmp_path, argv, code):
     # one error line on stderr, nothing on stdout, and the exit code
     (tmp_path / "malformed.json").write_text("{not json")
+    (tmp_path / "notutf8.json").write_bytes(b'\xff\xfe{"nodes": [], "arcs": []}')
+    (tmp_path / "nested.json").write_text("[" * 200_000)
     badmap = morphism_to_json(identity(cycle_graph(2)))
     badmap["node_map"] = {"0": 0, "1": 1}
     (tmp_path / "badmap.json").write_text(json.dumps(badmap))
@@ -418,6 +422,18 @@ def test_error_contract(capsys, monkeypatch, tmp_path, argv, code):
     got, out, err = invoke(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_census_prints_counts_past_the_int_digit_limit(capsys, tmp_path):
+    # c_1434 of a node with 1,000 loops is 1000**1434 = 10**4302, 4,303
+    # digits; written out here, as str() of it is refused past 4,300 digits
+    loops = Graph(("0",), tuple(Arc(f"a{i}", "0", "0") for i in range(1000)))
+    path = write_graph(tmp_path, "loops.json", loops)
+    digits = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, "census", path, "--upto", "1434")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "1434\t1" + "0" * 4302
+    assert sys.get_int_max_str_digits() == digits
 
 
 def assert_closed_stdout_ends_quietly(argv, first_line: bytes):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from gphom.dynamics import FinNSet, FinZSet, nset_from_json, nset_to_json
 from gphom.errors import BudgetExceeded, InvalidGraph, InvalidInput
 from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
-                          arrow_graph, component_count, connected_components,
+                          _isomorphism, arrow_graph, component_count, connected_components,
                           coproduct, coproduct_with_injections, cycle_graph,
                           dot_graph, enumerate_morphisms, figure_eight,
                           graph_from_json, graph_to_json, identity,
@@ -433,6 +433,52 @@ def test_is_isomorphic_rejects_other_component_sizes_without_search():
         budget = Budget()
         assert is_isomorphic(G, H, budget) == (False, None)
         assert budget.used == 0
+
+
+def split_search_cases(seed: int):
+    """(X, Y) pairs of equal sizes: relabellings, with one arc moved or not,
+    random pairs, and pairs that the degree profiles or the components'
+    sizes tell apart."""
+    yield from relabelled_cases(seed, 300)
+    rnd = random.Random(seed)
+    for _ in range(300):
+        k, m = rnd.randint(1, 6), rnd.randint(0, 10)
+        X, Y = (Graph(tuple(map(str, range(k))),
+                      tuple(Arc(f"a{i}", str(rnd.randrange(k)),
+                                str(rnd.randrange(k))) for i in range(m)))
+                for _ in "XY")
+        yield X, Y
+    loops = Graph(("0", "1"), (Arc("a", "0", "0"), Arc("b", "0", "0")))
+    yield cycle_graph(2), loops
+    # equal degree profiles and component sizes, told apart by the search
+    yield (Graph(("0", "1"), (Arc("a", "0", "1"), Arc("b", "1", "0"),
+                              Arc("c", "0", "0"), Arc("d", "1", "1"))),
+           Graph(("0", "1"), (Arc("a", "0", "1"), Arc("b", "1", "0"),
+                              Arc("c", "0", "1"), Arc("d", "1", "0"))))
+    yield cycle_graph(4), coproduct(cycle_graph(2), cycle_graph(2))
+    for k in (6, 8, 10):
+        halves = coproduct(undirected_cycle(k // 2), undirected_cycle(k // 2))
+        yield undirected_cycle(k), halves
+        yield halves, undirected_cycle(k)
+
+
+def test_isomorphism_search_matches_is_isomorphic():
+    # the search without the witness: the same verdict, node map and
+    # budget spent, each on a fresh Budget
+    rejected = Counter()
+    for X, Y in split_search_cases(21):
+        b1, b2 = Budget(), Budget()
+        node_map = _isomorphism(X, Y, b1)
+        ok, w = is_isomorphic(X, Y, b2)
+        assert (node_map is not None, b1.used, b1.search) == (ok, b2.used,
+                                                             b2.search)
+        if ok:
+            assert node_map == w.node_map
+        rejected[ok, b1.used == 0] += 1
+    # (verdict, rejected before the search): isomorphic, told apart by the
+    # sizes, degree profiles or components, and told apart by the search
+    assert rejected == {(True, False): 485, (False, True): 398,
+                        (False, False): 5}
 
 
 def test_is_isomorphic_deeper_than_recursion_limit():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gphom.errors import InvalidInput
-from gphom.graphs import (Graph, coproduct, cross_graph, cycle_graph,
+from gphom.graphs import (Budget, Graph, coproduct, cross_graph, cycle_graph,
                           figure_eight, path_graph, undirected_cycle)
 from gphom.homotopy import (builtin_family, derived_components,
                             enumerate_small_graphs, explore,
@@ -135,6 +135,15 @@ def test_explore_flags_the_pairs_the_oracle_separates():
         assert list(b.nonisomorphic_pairs) == [
             (na, nb) for (na, A), (nb, B) in itertools.combinations(b.members, 2)
             if not brute_force_isomorphic(A, B)]
+
+
+@pytest.mark.parametrize("nodes, arcs, used", [(3, 5, 8520), (4, 3, 8057)])
+def test_explore_budget_used_pinned(nodes, arcs, used):
+    # the isomorphism searches' steps over every multigraph within the sizes
+    corpus = [(f"g{i}", G) for i, G in enumerate(enumerate_small_graphs(nodes, arcs))]
+    budget = Budget()
+    explore(nodes, arcs, corpus, budget)
+    assert (budget.used, budget.search) == (used, "is_isomorphic")
 
 
 def test_explore_rejects_oversized_corpus():

@@ -11,13 +11,13 @@ from gphom.graphs import Arc, EMPTY, Graph, coproduct, cycle_graph, \
     undirected_cycle, enumerate_morphisms
 from gphom.homotopy import homotopy_equivalent, signature
 from gphom.spectral import (IntPolynomial, adjacency_matrix, char_poly,
-                            closed_walk_counts, cycle_count, expand_log_exp,
-                            graph_char_poly, graph_reversed_char_poly,
-                            newton_power_sums, reversed_char_poly, zeta_series)
+                            closed_walk_counts, cycle_count, graph_char_poly,
+                            graph_reversed_char_poly, newton_power_sums,
+                            reversed_char_poly, zeta_series)
 from gphom.witt import from_graph
 
 from conftest import (brute_force_closed_walks, count_calls, dense_char_poly,
-                      dense_cycle_count, random_graph)
+                      dense_cycle_count, expand_log_exp, random_graph)
 
 
 def multigraph(rnd: random.Random, k: int) -> Graph:

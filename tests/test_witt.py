@@ -9,10 +9,10 @@ from gphom.graphs import coproduct, cross_graph, cycle_graph, figure_eight, prod
 from gphom.spectral import zeta_series
 from gphom.witt import (AlmostFiniteZSet, ZERO, burnside_add, burnside_mul,
                         divisors, from_ghost, from_graph, from_witt,
-                        ghost_to_witt, witt_to_ghost,
-                        zeta_exp_form, zeta_product_form)
+                        ghost_to_witt, witt_to_ghost, zeta_product_form)
 
-from conftest import brute_force_necklaces, mobius, mobius_witt, random_graph
+from conftest import (brute_force_necklaces, mobius, mobius_witt, random_graph,
+                      zeta_exp_form)
 
 
 def test_mobius_values():
