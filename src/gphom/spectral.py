@@ -10,16 +10,21 @@ route checks the other but for the shared component pass, which the tests
 check against dense oracles.  `char_poly(A)` builds the components from A.
 
 Both advance many small vectors at once: the vectors' entries for one node
-sit in fixed-width bit fields of one Python int, so a single big-int
-addition does the per-vector arithmetic in C.  The entries are nonnegative
-and bounded, and the field widths follow from the bounds, so fields never
-carry into each other.  The two routes pack independently.
-No floating point anywhere: all coefficients are Python ints.
+sit in bit fields of one Python int, so a single big-int addition does the
+per-vector arithmetic in C.  The entries are nonnegative and bounded, and
+each field's width follows from its bound, so fields never carry into each
+other.  Berkowitz keeps its polynomial packed too, signed coefficients in
+fields as wide as Hadamard's bound asks, so one big-int product per
+bordering step is its whole Toeplitz update.  The two routes pack
+independently.  No floating point anywhere: all coefficients are Python
+ints.
 """
 
 from __future__ import annotations
 
-from operator import and_, mul
+from itertools import repeat
+from math import prod
+from operator import add, and_, index, itemgetter, lshift, mul, neg, rshift, sub
 
 from .errors import IntegralityViolation, InvalidInput
 from .graphs import Graph, _Value, _cyclic_blocks, _set
@@ -87,50 +92,112 @@ def _berkowitz(block: list[list[int]]) -> list[int]:
     the transpose of the component's, with the same determinant.
 
     Step k borders the principal k block M_k with row R_k, column S_k and
-    corner b_kk, and multiplies the previous polynomial by the Toeplitz
-    column built from t(k) = (b_kk, R_k S_k, R_k M_k S_k, ...,
-    R_k M_k^(k-1) S_k).  The int V[i] holds (M_k^j S_k)[i] in a bit field
-    of step k, for every k > i, so one sweep U = B V, a big-int addition
-    per arc, advances every step: t_(j+1)(k) is step k's field of U[k], and
-    V[i] is U[i] with the fields of the steps <= i cleared.  The fields go
-    in descending order, the last step at offset 0, so those are V[i]'s
-    high fields and clearing them shrinks the int: the later the row, the
-    fewer fields it carries.  A field counts weighted walks of length <= n
-    from one row, so with r the largest row sum it is at most r^n < 2^w,
-    wherever it sits.  That needs nonnegative entries: fields then never
-    borrow or carry into each other.  The steps go in batches that keep the
-    packed vector within _PACK_BITS bits.
+    corner b_kk.  Highest degree first, det(xI - M_k) lists the coefficients
+    c_j of det(I - uM_k) = sum_j c_j u^j, and step k multiplies that by
+    Q = 1 - sum_i t_i(k) u^(i+1), t(k) = (b_kk, R_k S_k, R_k M_k S_k, ...,
+    R_k M_k^(k-1) S_k), dropping the powers past u^(k+1).
+
+    The sweeps.  The int V[i] holds (M_k^j S_k)[i] in a bit field of step
+    k, for every open step k > i, so one sweep U = B V, a big-int addition
+    per arc, advances every step: t_j(k) is step k's field of U[k].  Step
+    k's field counts weighted walks of length <= k + 1 from one row, so
+    with r the largest row sum it is at most r^(k+1), and its width is that
+    of r^(k+1), wherever it sits; the entries are nonnegative, so fields
+    never borrow or carry into each other.  The fields go in descending
+    order, the last step at offset 0.  V[i] is U[i] with the fields of the
+    steps <= i cleared, and once sweep k has run, step k has all its t and
+    its field is cleared from every row (a batch's first step's, one sweep
+    later): those are the high fields, so the ints shrink as the sweeps
+    go.  The steps go in batches that keep the packed vectors within
+    _PACK_BITS bits.
+
+    The product (Kronecker substitution).  The polynomial stays packed as
+    P = sum_j c_j 2^(jW), and Q, read off the sweeps' fields with C-level
+    maps, is packed the same way, so one big-int product is the whole
+    Toeplitz update: P*Q mod 2^((k+2)W), taken balanced (minus 2^((k+2)W)
+    when its top bit is set), is P's next value exactly while every
+    |c_j| < 2^(W-1).  A zero t costs nothing: on a long cycle Q is 1 but at
+    the last step.  W comes from Hadamard's bound: c_j is a sum of j x j
+    principal minors, so |c_j| <= e_j(rho) <= prod (1 + rho_i) <=
+    sqrt(prod 2(1 + rho_i^2)), with rho_i the 2-norm of row i and rho_i^2
+    the sum of its squared arc multiplicities; the product over the first
+    h + 1 rows covers the steps up to h.  W covers the first 64 steps, then
+    an eighth more steps at a time, each time unpacking P and repacking it
+    wider, so a large block's early products stay short.  P is unpacked
+    for the last time at the end.
     """
     n = len(block)
-    w = (max(map(len, block)) ** n).bit_length()
-    mask = (1 << w) - 1
-    size = max(1, _PACK_BITS // (n * w))   # steps per batch
-    coeffs = [1]
-    for k0 in range(0, n, size):
-        k1 = min(n, k0 + size)
+    # ends[k]: the width of the sweep fields of the steps before k, step k's
+    # holding r^(k+1); vals[i]: 1 + rho_i^2
+    r, p, ends, vals = max(map(len, block)), 1, [0], []
+    for row in block:
+        p *= r
+        ends.append(ends[-1] + p.bit_length())
+        vals.append(1 + sum(map(row.count, row)))
+    # W covers the steps up to h: sqrt(2^(h+1) bound) < 2^(W-1)
+    h = min(n, 64) - 1
+    bound = prod(vals[:h + 1])
+    W = (bound.bit_length() + h + 2) // 2 + 1
+    P = 1
+    k0 = 0
+    while k0 < n:
+        k1 = k0 + 1
+        while k1 < n and (k1 + 1) * (ends[k1 + 1] - ends[k0]) <= _PACK_BITS:
+            k1 += 1
         # the arcs of the leading k1 x k1 block
-        rows = [[j for j in row if j < k1] for row in block[:k1]]
-        fields = range((k1 - k0 - 1) * w, -1, -w)   # step k at (k1-1-k)*w
-        units = [1 << f for f in fields]
+        rows = block if k1 == n else [[j for j in row if j < k1] for row in block[:k1]]
+        # step k's field runs from bit top - ends[k + 1] up to top - ends[k]
+        top = ends[k1]
+        edges = [1 << top - e for e in ends[k0:k1 + 1]]
+        units = edges[1:]
         keep = [-1] * k0 + [u - 1 for u in units]   # clears the fields <= i
-        diag = [0] * k0 + [mask * u for u in units]   # field i of row i
+        diag = [0] * k0 + list(map(sub, edges, units))   # field i of row i
         # sweeping unit vectors gives t_0(k) = b_kk and V[i] = S_k[i]
         V = [0] * k0 + units
         D = []   # D[j]: t_j(k) in step k's field, for every k
-        for j in range(k1):
-            if j == k1 - 1:   # the last sweep is for t_j(k1 - 1) only
-                rows, diag = rows[-1:], diag[-1:]
-            U = [sum(map(V.__getitem__, row)) for row in rows]
+        for j in range(k1 - 1):
+            U = list(map(sum, map(map, repeat(V.__getitem__), rows)))
             D.append(sum(map(and_, U, diag)))
+            if j > k0:   # the steps <= j are closed: clear their fields from every row
+                keep[:j] = repeat(keep[j], j)
+                diag[j] = 0
             V = list(map(and_, U, keep))
-        for k, f in enumerate(fields, start=k0 + 1):
-            t = [d >> f & mask for d in D]
-            # new[j] = prev[j] - sum_i t[i] * prev[j-1-i], degree k
-            rev = coeffs[::-1]
-            new = coeffs + [0]
-            for j in range(1, k + 1):
-                new[j] -= sum(map(mul, t, rev[k - j:]))
-            coeffs = new
+        # the last sweep is for t_(k1-1)(k1-1) only
+        D.append(sum(map(V.__getitem__, rows[-1])) & diag[-1])
+        for k in range(k0, k1):
+            if k > h:   # an eighth more steps, and P repacked at the new W
+                coeffs = _unpack(P, W, k + 1)
+                bound *= prod(vals[h + 1:h + h // 8 + 1])
+                h = min(n - 1, h + h // 8)
+                W = (bound.bit_length() + h + 2) // 2 + 1
+                P = sum(map(lshift, coeffs, range(0, (k + 1) * W, W)))
+            # Q = 1 - q, q = sum_i t_i 2^((i+1)W), t_i step k's field of D[i]
+            t = list(map(and_, map(rshift, D[:k + 1], repeat(top - ends[k + 1])),
+                         repeat((1 << ends[k + 1] - ends[k]) - 1)))
+            step = W
+            while len(t) > 64:   # pair neighbours: the shifted sum costs len(t)^2
+                t.append(0)
+                t = list(map(add, t[::2], map(lshift, t[1::2], repeat(step))))
+                step *= 2
+            q = sum(map(lshift, t, range(W, W + len(t) * step, step)))
+            if q:   # P = P Q, balanced mod 2^end
+                end = (k + 2) * W
+                P = (P - P * q) & ((1 << end) - 1)
+                if P >> (end - 1):
+                    P -= 1 << end
+        k0 = k1
+    return _unpack(P, W, n + 1)
+
+
+def _unpack(P: int, W: int, m: int) -> list[int]:
+    """The m signed W-bit fields of P = sum_j c_j 2^(jW), lowest first,
+    each |c_j| < 2^(W-1)."""
+    half, mask = 1 << (W - 1), (1 << W) - 1
+    coeffs = []
+    for _ in range(m):
+        c = ((P + half) & mask) - half
+        coeffs.append(c)
+        P = (P - c) >> W
     return coeffs
 
 
@@ -172,18 +239,29 @@ def graph_char_poly(X: Graph) -> IntPolynomial:
 
 def reversed_char_poly(A: list[list[int]]) -> IntPolynomial:
     """det(I - uA) for a square matrix A of nonnegative integers, such as
-    adjacency_matrix(X), trailing zeros dropped; a negative entry raises
-    InvalidInput.  Read as A[i][j] arcs i -> j: cost grows with their sum."""
-    if A and min(map(min, A)) < 0:
-        raise InvalidInput("char_poly needs a matrix of nonnegative integers")
-    return _det(_cyclic_blocks([[j for j, a in enumerate(row) if a
-                                 for _ in range(a)] for row in A]))
+    adjacency_matrix(X), trailing zeros dropped; a ragged or non-square A,
+    or an entry that is negative or not an int, raises InvalidInput.  Read
+    as A[i][j] arcs i -> j: cost grows with their sum."""
+    try:
+        n = len(A)
+        valid = {*map(len, A)} <= {n}
+        if valid:
+            succ = [[j for j, a in enumerate(row) if a for _ in range(a)] for row in A]
+            # range rejects a nonzero entry that is not an int, and index a
+            # row sum that is not one; a negative entry adds no arcs, so it
+            # leaves its row with more arcs than its sum
+            valid = list(map(len, succ)) == list(map(index, map(sum, A)))
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidInput("char_poly needs a square matrix of nonnegative integers")
+    return _det(_cyclic_blocks(succ))
 
 
 def char_poly(A: list[list[int]]) -> IntPolynomial:
     """det(xI - A) = x^n det(I - A/x) for a square matrix A of nonnegative
-    integers, such as adjacency_matrix(X); a negative entry raises
-    InvalidInput."""
+    integers, such as adjacency_matrix(X); any other A raises InvalidInput,
+    as in reversed_char_poly."""
     d = reversed_char_poly(A).coefficients
     return IntPolynomial((0,) * (len(A) + 1 - len(d)) + d[::-1])
 
@@ -268,14 +346,29 @@ def zeta_series(X: Graph, N: int) -> ZetaSeries:
         raise InvalidInput("truncation order must be >= 0")
     denom = graph_reversed_char_poly(X)
     tail = denom.coefficients[1:]
-    slopes = [i * d for i, d in enumerate(tail, start=1)]
-    coeffs = [1]
+    steps, ds, back, pad = _lookback(tail)
+    slopes = list(map(mul, steps, ds))   # i * d_i
+    z = [0] * pad + [1]
     for n, c in enumerate(closed_walk_counts(X, N), start=1):
-        if c != -sum(map(mul, slopes, reversed(coeffs))):   # -u D' Z at u^n
+        if c != -sum(map(mul, slopes, back(z))):   # -u D' Z at u^n
             raise IntegralityViolation(f"walk count c_{n} disagrees with det(I - uA)")
         # z_n = -sum_{i>=1} d_i z_{n-i}, since d_0 = det(I) = 1
-        coeffs.append(-sum(map(mul, tail, reversed(coeffs))))
-    return ZetaSeries(denom, N, tuple(coeffs))
+        z.append(-sum(map(mul, ds, back(z))))
+    return ZetaSeries(denom, N, tuple(z[pad:]))
+
+
+def _lookback(tail: tuple[int, ...]):
+    """How a recurrence reads sum_i d_i a_(n-i), tail = (d_1, d_2, ...):
+    the i, the d_i, a function that gives the a_(n-i) in the same order
+    from a list of `pad` zeros and then a_0..a_(n-1), and pad.  A tail is
+    read whole unless at most a quarter of it, less 4, is nonzero; then only
+    at its nonzero d_i, so 1 - u^m costs one product per term, not m.  The
+    set-up that takes does not pay on a shorter or denser tail."""
+    if len(tail) < 4 * (len(tail) - tail.count(0)) + 16:
+        return range(1, len(tail) + 1), tail, reversed, 0
+    # two zero terms, read at index 0, keep itemgetter's result a tuple
+    steps = [0, 0] + [i for i, d in enumerate(tail, start=1) if d]
+    return steps, [0, 0, *filter(None, tail)], itemgetter(*map(neg, steps)), len(tail) + 1
 
 
 def newton_power_sums(d: IntPolynomial, upto: int,
@@ -284,16 +377,21 @@ def newton_power_sums(d: IntPolynomial, upto: int,
     reversal d = det(I - uA), whose d_0 is 1.
 
     Newton's identities: p_k = -k*d_k - sum_{i=1}^{k-1} d_i p_{k-i}, with
-    d_i = 0 past the degree of d.  Exact over ints.  Passing the list an
-    earlier call returned as `p` extends it.
+    d_i = 0 past the degree of d; only the nonzero d_i of a sparse d are
+    read.  Exact over ints.  Passing the list an earlier call returned as
+    `p` extends it.
     """
     if d[0] != 1:
         raise InvalidInput("expected constant term 1")
     p = [] if p is None else p
     tail = d.coefficients[1:]   # d_1, d_2, ..., d_deg
+    _, ds, back, pad = _lookback(tail)
+    q = [0] * pad + p if pad else p
     for k in range(len(p) + 1, upto + 1):
-        acc = -sum(map(mul, tail, reversed(p)))
+        acc = -sum(map(mul, ds, back(q)))
         if k <= len(tail):
             acc -= k * tail[k - 1]
-        p.append(acc)
+        q.append(acc)
+    if pad:
+        p += q[pad + len(p):]
     return p

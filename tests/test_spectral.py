@@ -197,6 +197,25 @@ def test_ghost_row_with_factor_x_to_the_m():
         assert newton_power_sums(reversed_char_poly(adjacency_matrix(X)), N) == oracle
 
 
+def test_newton_power_sums_of_sparse_polynomials():
+    # 1 - u^m has power sums m * [m | n]; the sums extend a list in place
+    for m in (1, 2, 3, 7, 10000):
+        d = IntPolynomial.from_list([1] + [0] * (m - 1) + [-1])
+        want = [m if n % m == 0 else 0 for n in range(1, 2 * m + 4)]
+        assert newton_power_sums(d, 2 * m + 3) == want
+        p = newton_power_sums(d, m - 1)
+        assert newton_power_sums(d, 2 * m + 3, p) is p and p == want
+    # against the dense recurrence: short tails are read whole, long sparse
+    # ones at their nonzero terms only, all-zero tails included
+    for coeffs in ((1, 0, 0, 5, 0, 0, 0, -2), (1, 0), (1,) + (0,) * 20,
+                   (1,) + (0,) * 16 + (5,) + (0,) * 22 + (-2,)):
+        d = IntPolynomial(coeffs)
+        p = []
+        for k in range(1, 90):
+            p.append(-k * d[k] - sum(d[i] * p[k - i - 1] for i in range(1, k)))
+        assert newton_power_sums(d, 89) == p
+
+
 def test_newton_consistency():
     rnd = random.Random(10)
     for _ in range(30):
@@ -216,6 +235,9 @@ def test_zeta_series_examples():
         Z = zeta_series(cycle_graph(m), 6)
         denom = [1] + [0] * (m - 1) + [-1]
         assert list(Z.denominator.coefficients) == denom
+    # 1/(1 - u^40), whose recurrences read one term
+    Z = zeta_series(cycle_graph(40), 130)
+    assert Z.coefficients == tuple(int(n % 40 == 0) for n in range(131))
 
 
 def test_zeta_series_inverts_denominator():
@@ -353,6 +375,21 @@ def scrambled_components() -> Graph:
     return graph_of(13, pairs)
 
 
+def loop_cycle(k: int, r: int) -> Graph:
+    """A k-cycle with r loops on every node: A = rI + C, so det(I - uA) is
+    (1 - ru)^k - u^k.  Its coefficients C(k, j) r^j are, for small k, within
+    a few bits of the Hadamard bound Berkowitz's packed product is sized by,
+    and the first sweep field of a row holds r, its largest value."""
+    return graph_of(k, [(i, (i + 1) % k) for i in range(k)] +
+                    [(i, i) for i in range(k) for _ in range(r)])
+
+
+def loop_cycle_det(k: int, r: int) -> IntPolynomial:
+    det = [comb(k, j) * (-r) ** j for j in range(k + 1)]
+    det[k] -= 1
+    return IntPolynomial.from_list(det)
+
+
 def edge_graphs() -> list[Graph]:
     graphs = [EMPTY, dot_graph(), scrambled_components(),
               coproduct(path_graph(12), loop_node_graph(1)),
@@ -360,6 +397,7 @@ def edge_graphs() -> list[Graph]:
               complete_multigraph(4, 3)]
     for b in (1, 2, 3, 7, 8):
         graphs += [loop_node_graph(2 ** b - 1), loop_node_graph(2 ** b)]
+    graphs += [loop_cycle(k, r) for k, r in ((2, 5), (2, 8), (3, 7), (3, 8), (6, 2 ** 7))]
     return graphs
 
 
@@ -373,6 +411,35 @@ def test_packed_char_poly_at_field_width_edges():
         while rev and rev[-1] == 0:
             rev.pop()
         assert list(reversed_char_poly(A).coefficients) == rev
+
+
+def test_loop_cycle_closed_form(monkeypatch):
+    """Blocks past 64 nodes widen the packed polynomial's fields as they go;
+    the small bit budget also splits their sweeps into batches."""
+    cases = [(k, r) for k in (2, 3, 5, 64, 65, 66, 130) for r in (1, 2, 5, 8)]
+    for bits in (spectral._PACK_BITS, 3000):
+        monkeypatch.setattr(spectral, "_PACK_BITS", bits)
+        for k, r in cases:
+            assert graph_reversed_char_poly(loop_cycle(k, r)) == loop_cycle_det(k, r)
+
+
+def test_large_blocks_match_walk_counts(monkeypatch):
+    """Random components of 65 to 100 nodes, past the first width of the
+    packed polynomial: by Newton's identities its power sums are the walk
+    counts tr(A^n), which the census finds without it."""
+    rnd = random.Random(36)
+    graphs = [undirected_cycle(70)]
+    for k in (65, 80, 100):
+        pairs = [(i, (i + 1) % k) for i in range(k)]
+        pairs += [(rnd.randrange(k), rnd.randrange(k)) for _ in range(2 * k)]
+        graphs.append(graph_of(k, pairs))
+    for bits in (spectral._PACK_BITS, 1 << 16):
+        monkeypatch.setattr(spectral, "_PACK_BITS", bits)
+        for X in graphs:
+            n = len(X.nodes)
+            d = reversed_char_poly(adjacency_matrix(X))
+            assert d.degree <= n
+            assert newton_power_sums(d, n) == closed_walk_counts(X, n)
 
 
 def test_packed_char_poly_matches_sympy_at_edges():
@@ -449,6 +516,15 @@ def test_char_poly_rejects_negative_entries():
     with pytest.raises(InvalidInput, match="nonnegative"):
         reversed_char_poly([[1, 0], [0, -2]])
     assert char_poly([[0, 0], [0, 0]]).coefficients == (0, 0, 1)
+
+
+@pytest.mark.parametrize("A", [[[1], [1, 1]], [[0, 1], [1]], [[1, 2]], [[]],
+                               [[1.5]], [[0.0, 1], [1, 0]], [[2, -1], [0, 1]],
+                               [[None]], [["1"]], [1, 2]])
+def test_char_poly_rejects_ragged_and_non_int_matrices(A):
+    for f in (char_poly, reversed_char_poly):
+        with pytest.raises(InvalidInput, match="square matrix of nonnegative integers"):
+            f(A)
 
 
 # ---------------------------------------------------------------------------
