@@ -76,6 +76,16 @@ def _upto(args, *graphs: Graph) -> int:
     return args.upto
 
 
+def _row(args, X: Graph) -> int:
+    """_upto(args, X), spent on a fresh Budget as the row's length before the
+    row is computed, so a row too long for the budget exits at once."""
+    N = _upto(args, X)
+    budget = Budget(args.budget)
+    budget.search = f"the {args.command} row"
+    budget.spend(N)
+    return N
+
+
 def _emit(args, payload: dict, text_lines: list[str]):
     try:
         if args.json:
@@ -115,7 +125,7 @@ def cmd_charpoly(args) -> int:
 def cmd_zeta(args) -> int:
     from . import spectral
     X = load_graph(args.graph)
-    N = _upto(args, X)
+    N = _row(args, X)
     Z = spectral.zeta_series(X, N)
     lines = [f"denominator: {Z.denominator.format('u')}",
              "coefficients: " + ", ".join(str(c) for c in Z.coefficients)]
@@ -131,7 +141,7 @@ def cmd_zeta(args) -> int:
 def cmd_census(args) -> int:
     from . import spectral
     X = load_graph(args.graph)
-    N = _upto(args, X)
+    N = _row(args, X)
     counts = spectral.closed_walk_counts(X, N)
     lines = [f"{n}\t{c}" for n, c in enumerate(counts, start=1)]
     _emit(args, {"counts": counts, "upto": N}, lines)
@@ -141,7 +151,7 @@ def cmd_census(args) -> int:
 def cmd_witt(args) -> int:
     from . import witt
     X = load_graph(args.graph)
-    N = _upto(args, X)
+    N = _row(args, X)
     S = witt.from_graph(X)
     ghost = S.ghost_row(N)
     coords = S.witt_row(N)

@@ -1,23 +1,26 @@
 """Exact integer linear algebra over the adjacency operator.
 
-Two primitives carry every invariant, and both read `Graph.cyclic_blocks`,
+Three routes carry every invariant, and all read `Graph.cyclic_blocks`,
 the strongly connected components holding a cycle, found once per graph.
-`graph_reversed_char_poly` gives det(I - uA), the product of det(I - uA_C)
-over them by the division-free Berkowitz algorithm, once per graph; the
-zeta series and the ghost components derive from it.  `closed_walk_counts`
-gives tr(A^n) by pushing walk counts along the components' arcs.  Each
-route checks the other but for the shared component pass, which the tests
+`graph_reversed_char_poly` gives det(I - uA), once per graph, as the
+product of det(I - uA_C) over them: a block whose nodes all have one arc
+in but for at most two, the rome, contracts to a closed form in the rome's
+paths (`_contract`); any other block of two or more nodes runs the
+division-free Berkowitz algorithm (`_berkowitz`).  The zeta series and the
+ghost components derive from the polynomial.  `closed_walk_counts` gives
+tr(A^n) by pushing walk counts along the components' arcs.  The census
+checks the polynomial but for the shared component pass, which the tests
 check against dense oracles.  `char_poly(A)` builds the components from A.
 
-Both advance many small vectors at once: the vectors' entries for one node
-sit in bit fields of one Python int, so a single big-int addition does the
-per-vector arithmetic in C.  The entries are nonnegative and bounded, and
-each field's width follows from its bound, so fields never carry into each
-other.  Berkowitz keeps its polynomial packed too, signed coefficients in
-fields as wide as Hadamard's bound asks, so one big-int product per
-bordering step is its whole Toeplitz update.  The two routes pack
-independently.  No floating point anywhere: all coefficients are Python
-ints.
+The census and Berkowitz advance many small vectors at once: the vectors'
+entries for one node sit in bit fields of one Python int, so a single
+big-int addition does the per-vector arithmetic in C.  The entries are
+nonnegative and bounded, and each field's width follows from its bound, so
+fields never carry into each other.  Berkowitz keeps its polynomial packed
+too, signed coefficients in fields as wide as Hadamard's bound asks, so one
+big-int product per bordering step is its whole Toeplitz update.  The two
+pack independently.  No floating point anywhere: all coefficients are
+Python ints.
 """
 
 from __future__ import annotations
@@ -201,28 +204,91 @@ def _unpack(P: int, W: int, m: int) -> list[int]:
     return coeffs
 
 
+def _contract(block: list[list[int]]) -> list[int] | None:
+    """det(I - uA_C), lowest degree first, of a block of Graph.cyclic_blocks
+    of two or more nodes with at most two rome nodes; None for any other
+    block.
+
+    A chain node has one arc in from inside the block, so no loop; the rome
+    R is the other nodes, or one node of a k-cycle, whose nodes are all
+    chain nodes.  The chain nodes hold no cycle, since a cycle of them would
+    have no arc in from outside it, so walking back from an arc into a rome
+    node along the chain nodes' one arc in ends on a rome node.  That gives
+    every path between rome nodes through chain nodes only, once each, and
+    eliminating the chain nodes (a Schur complement whose chain part is
+    nilpotent, so it adds a factor 1) gives det(I - uA_C) = det(I - A_R(u)),
+    where A_R(u)[r][s] sums u^l over those paths of l arcs from s into r:
+    the rome method of Block, Guckenheimer, Misiurewicz and Young.  Each
+    entry is kept as {l: count}, and the factor is (1 - a)(1 - d) - bc for
+    A_R = [[a, b], [c, d]], with b = c = d = 0 for a single rome node.  So
+    a block is refused on its row lengths alone: fewer than k - 2 rows of
+    length one."""
+    k = len(block)
+    lens = list(map(len, block))
+    if lens.count(1) < k - 2:
+        return None
+    rome = [v for v in range(k) if lens[v] != 1] or [0]
+    place = [-1] * k   # a rome node's index in rome, -1 for a chain node
+    for i, r in enumerate(rome):
+        place[r] = i
+    entries = [{}, {}, {}, {}]   # A_R(u), row by row
+    for i, r in enumerate(rome):
+        for s in block[r]:
+            length = 1
+            while place[s] < 0:
+                s = block[s][0]
+                length += 1
+            entry = entries[2 * i + place[s]]
+            entry[length] = entry.get(length, 0) + 1
+    a, b, c, d = entries
+    factor = [1] + [0] * k   # a k x k determinant has degree <= k
+    for entry in a, d:
+        for x, m in entry.items():
+            factor[x] -= m
+    for x, m in a.items():
+        for y, n in d.items():
+            factor[x + y] += m * n
+    for x, m in b.items():
+        for y, n in c.items():
+            factor[x + y] -= m * n
+    return factor
+
+
 def _det(blocks: list[list[list[int]]]) -> IntPolynomial:
     """det(I - uA) from Graph.cyclic_blocks: A is block triangular, so it is
     the product over them of 1 - d*u for a lone node with d loops, else of
-    _berkowitz's det(xI - A_C), highest degree first: det(I - uA_C).  Each
-    factor starts with 1 and loses its trailing zeros, so the product of
-    the plain lists has none either."""
-    det = [1]
+    det(I - uA_C) by the first of two routes that takes the block:
+    _contract's closed form when all its nodes but at most two have one arc
+    in, else _berkowitz's det(xI - A_C), highest degree first.  The third
+    route, closed_walk_counts, reads the same blocks for tr(A^n) without
+    the polynomial and checks it.  Each factor starts with 1 and loses its
+    trailing zeros, so the product has none either; the product skips zero
+    coefficients, so two long cycles cost their nonzeros, not their
+    degrees, squared."""
+    det = None
     for block in blocks:
-        factor = _berkowitz(block) if len(block) > 1 else [1, -len(block[0])]
-        while not factor[-1]:
-            factor.pop()
+        if len(block) == 1:
+            factor = [1, -len(block[0])]
+        else:
+            factor = _contract(block) or _berkowitz(block)
+            while not factor[-1]:
+                factor.pop()
+        if det is None:
+            det = factor
+            continue
         prod = [0] * (len(det) + len(factor) - 1)
+        terms = [(j, b) for j, b in enumerate(factor) if b]
         for i, a in enumerate(det):
-            for j, b in enumerate(factor):
-                prod[i + j] += a * b
+            if a:
+                for j, b in terms:
+                    prod[i + j] += a * b
         det = prod
-    return IntPolynomial(tuple(det))
+    return IntPolynomial(tuple(det) if det else (1,))
 
 
 def graph_reversed_char_poly(X: Graph) -> IntPolynomial:
     """det(I - uA) for X's adjacency matrix A, without building A; kept on
-    X, as X.cyclic_blocks is, so Berkowitz runs once per graph.  Set with
+    X, as X.cyclic_blocks is, so _det runs once per graph.  Set with
     _set, not through vars(X), which on Python 3.11 slows X's attribute loads."""
     poly = getattr(X, "_reversed_char_poly", None)
     if poly is None:
@@ -309,7 +375,7 @@ def closed_walk_counts(X: Graph, upto: int) -> list[int]:
                 m -= m // 2
                 folds.append((m * w, (1 << m * w) - 1))
             for n in range(upto):
-                vec = [sum(map(vec.__getitem__, p)) for p in block]
+                vec = list(map(sum, map(map, repeat(vec.__getitem__), block)))
                 d = sum(map(and_, vec, diag))
                 for h, low in folds:
                     d = (d >> h) + (d & low)

@@ -65,15 +65,20 @@ def test_homotopy_eq_negative_exit_code(capsys):
 
 
 def test_polynomials_computed_once_per_graph(capsys, monkeypatch):
+    dets = count_calls(monkeypatch, spectral, "_det")
     berkowitz = count_calls(monkeypatch, spectral, "_berkowitz")
     code, out, _ = invoke(capsys, "charpoly", "cross", "--json")
-    assert code == 0 and len(berkowitz) == 1
+    assert code == 0 and len(dets) == 1
     assert json.loads(out)["reversed"] == [1, 0, -4]
-    berkowitz.clear()
+    # cross is a bouquet of four 2-cycles, contracted without Berkowitz
+    assert berkowitz == []
+    dets.clear()
     walks = count_calls(monkeypatch, spectral, "closed_walk_counts")
     code, out, _ = invoke(capsys, "homotopy-eq", "cross", "uc4")
     assert code == 0 and out.count("1 - 4*u^2") == 2
-    assert len(berkowitz) == 2
+    assert len(dets) == 2
+    # uc4 has no node with one arc in: its one block goes to Berkowitz
+    assert list(map(len, berkowitz)) == [4]
     # the walk-count cross-check still runs, once per graph
     assert [len(X.nodes) for X in walks] == [5, 4]
 
@@ -399,6 +404,9 @@ _FILE_ARGS = {"lift": 4, "homotopy-eq": 2}
     (("explore", "--nodes", "2", "--arcs", "2", "--budget", "0"), 3),
     (("classify", "s.json", "--upto", "0"), 2),
     (("census", "cycle:0"), 2),
+    # a row's length is spent on the budget before the row is computed
+    (("census", "cycle:1", "--upto", "100000000"), 3),
+    (("witt", "cross", "--budget", "5"), 3),
     (("classify", "badmap.json"), 2),
     (("nset", "badnset.json"), 2),
     (("charpoly", "notutf8.json"), 2),

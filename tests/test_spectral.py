@@ -599,12 +599,19 @@ def test_long_path_runs_no_berkowitz(monkeypatch):
 
 
 def test_berkowitz_runs_only_on_blocks_of_two_or_more(monkeypatch):
+    contracted = count_calls(monkeypatch, spectral, "_contract")
     berkowitz = count_calls(monkeypatch, spectral, "_berkowitz")
     A = adjacency_matrix(scrambled_components())
     assert char_poly(A) == dense_char_poly(A)
     # the blocks {2, 7, 11} and {4, 9}; the lone nodes, with loops or
-    # without, enter the product directly
-    assert sorted(map(len, berkowitz)) == [2, 3]
+    # without, enter the product directly.  Both blocks contract: {4, 9} to
+    # the bouquet 1 - u - u^2 at 9, {2, 7, 11} to 1 - u^2 - u^3 at 2
+    assert sorted(map(len, contracted)) == [2, 3]
+    assert berkowitz == []
+    # a block with three nodes of two arcs in each is refused
+    A = adjacency_matrix(coproduct(scrambled_components(), undirected_cycle(3)))
+    assert char_poly(A) == dense_char_poly(A)
+    assert list(map(len, berkowitz)) == [3]
 
 
 def test_census_sums_loop_nodes_beside_a_component():
@@ -717,13 +724,15 @@ def test_graph_routes_build_no_dense_matrix(monkeypatch):
 
 
 def test_signature_is_kept_on_the_instance(monkeypatch):
+    dets = count_calls(monkeypatch, spectral, "_det")
     berkowitz = count_calls(monkeypatch, spectral, "_berkowitz")
     X = cross_graph()
     assert signature(X) == signature(X)
-    assert len(berkowitz) == 1
+    assert len(dets) == 1
     # kept per instance, not per equal graph
     assert signature(cross_graph()) == signature(X)
-    assert len(berkowitz) == 2
+    assert len(dets) == 2
+    assert berkowitz == []
 
 
 def test_homotopy_equivalent_counts_walks_on_every_call(monkeypatch):
@@ -731,3 +740,106 @@ def test_homotopy_equivalent_counts_walks_on_every_call(monkeypatch):
     walks = count_calls(monkeypatch, spectral, "closed_walk_counts")
     assert homotopy_equivalent(X, Y) and homotopy_equivalent(X, Y)
     assert [G is H for G, H in zip(walks, [X, Y, X, Y])] == [True] * 4
+
+
+# ---------------------------------------------------------------------------
+# The rome contraction: a block with at most two nodes of other than one arc
+# in, against closed forms, _berkowitz and the dense oracle
+
+def upoly(terms) -> IntPolynomial:
+    """The sum of c u^e over the (e, c) in terms."""
+    coeffs = [0] * (max(e for e, _ in terms) + 1)
+    for e, c in terms:
+        coeffs[e] += c
+    return IntPolynomial.from_list(coeffs)
+
+
+def rome_graph(a, b, c, d) -> Graph:
+    """Rome nodes 0 and 1 and a chain of l arcs for each l: from 0 to 0 in
+    a, from 1 to 0 in b, from 0 to 1 in c and from 1 to 1 in d."""
+    return routes(2, [(0, 0, x) for x in a] + [(1, 0, x) for x in b]
+                  + [(0, 1, x) for x in c] + [(1, 1, x) for x in d])
+
+
+def rome_det(a, b, c, d) -> IntPolynomial:
+    """det(I - A_R(u)) = (1 - a)(1 - d) - bc of rome_graph(a, b, c, d),
+    each entry the sum of u^l over its lengths."""
+    return upoly([(0, 1)] + [(x, -1) for x in a + d]
+                 + [(x + y, 1) for x in a for y in d]
+                 + [(x + y, -1) for x in b for y in c])
+
+
+def test_cycles_contract_to_one_minus_u_to_the_k(monkeypatch):
+    contracted = count_calls(monkeypatch, spectral, "_contract")
+    for k in (2, 3, 64, 65, 10000):
+        X = cycle_graph(k)
+        assert graph_reversed_char_poly(X) == upoly([(0, 1), (k, -1)])
+        if k < 100:
+            assert IntPolynomial.from_list(
+                spectral._berkowitz(X.cyclic_blocks[0])) == upoly([(0, 1), (k, -1)])
+    # two 5,000-cycles: the product skips the zeros of both factors
+    berkowitz = count_calls(monkeypatch, spectral, "_berkowitz")
+    X = coproduct(cycle_graph(5000), cycle_graph(5000))
+    assert graph_reversed_char_poly(X) == \
+        upoly([(0, 1), (5000, -2), (10000, 1)])
+    assert berkowitz == []
+    assert list(map(len, contracted)) == [2, 3, 64, 65, 10000, 5000, 5000]
+
+
+def test_bouquets_and_two_node_romes_contract_to_closed_forms(monkeypatch):
+    berkowitz = count_calls(monkeypatch, spectral, "_berkowitz")
+    rnd = random.Random(36)
+    cases = [(bouquet(lengths), upoly([(0, 1)] + [(x, -1) for x in lengths]))
+             for lengths in ([2], [1, 2, 5], [3, 3], [1, 1, 4], [2, 2, 2, 2])]
+    # chains ending on a loop node: a loop and a longer cycle through it
+    cases += [(routes(1, [(0, 0, 1), (0, 0, 9)]), upoly([(0, 1), (1, -1), (9, -1)])),
+              (theta_graph(2, 3, 4), upoly([(0, 1), (6, -1), (7, -1)]))]
+    # theta graphs with two chains each way, so both branch nodes have two
+    # arcs in; then random two-node romes, loops and parallel chains included
+    legs = [([], [1, 3], [2, 5], []), ([], [4, 4], [1, 2], []),
+            ([2], [3], [1], [4]), ([1], [1, 1], [1], [1])]
+    for _ in range(12):
+        a, b, c, d = ([rnd.randint(1, 6) for _ in range(rnd.randint(lo, 3))]
+                      for lo in (0, 1, 1, 0))
+        if len(a) + len(b) > 1 and len(c) + len(d) > 1:
+            legs.append((a, b, c, d))
+    cases += [(rome_graph(*leg), rome_det(*leg)) for leg in legs]
+    cases += [(shuffled(X, rnd), det) for X, det in cases]
+    for X, det in cases:
+        A = adjacency_matrix(X)
+        assert graph_reversed_char_poly(X) == reversed_char_poly(A) == det
+        assert char_poly(A) == dense_char_poly(A)
+    assert berkowitz == []
+
+
+def planted_chain_graph(rnd: random.Random) -> Graph:
+    """One to four hub nodes with random arcs among them, and one to five
+    chains of 1 to 4 arcs between random nodes, on shuffled node numbers:
+    its blocks hold chain nodes, and often at most two other nodes."""
+    hubs = rnd.randint(1, 4)
+    pairs = [(rnd.randrange(hubs), rnd.randrange(hubs))
+             for _ in range(rnd.randint(0, 3 * hubs))]
+    X = routes(hubs, [(rnd.randrange(hubs), rnd.randrange(hubs), rnd.randint(1, 4))
+                      for _ in range(rnd.randint(1, 5))])
+    pairs += [(int(a.src), int(a.tgt)) for a in X.arcs]
+    return shuffled(graph_of(len(X.nodes), pairs), rnd)
+
+
+def test_contraction_matches_berkowitz_and_dense_oracle():
+    rnd = random.Random(37)
+    blocks = contracted = 0
+    for _ in range(2500):
+        X = planted_chain_graph(rnd)
+        for block in X.cyclic_blocks:
+            if len(block) < 2:
+                continue
+            blocks += 1
+            want = IntPolynomial.from_list(spectral._berkowitz(block))
+            got = spectral._contract(block)
+            if got is not None:
+                contracted += 1
+                assert IntPolynomial.from_list(got) == want, block
+        A = adjacency_matrix(X)
+        assert char_poly(A) == dense_char_poly(A)
+    # 331 k-cycles, 1,081 blocks with one rome node and 608 with two
+    assert (blocks, contracted) == (2410, 2020)
