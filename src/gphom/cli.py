@@ -196,7 +196,7 @@ def cmd_lift(args) -> int:
 def cmd_cofibrant_replace(args) -> int:
     from . import model
     X = load_graph(args.graph)
-    N = _upto(args, X)
+    N = _row(args, X)
     res = model.cofibrant_replacement(X, N, Budget(args.budget))
     lines = ["n\ts_n"]
     lines += [f"{n}\t{res.witt_summary[n]}" for n in sorted(res.witt_summary)]
@@ -230,8 +230,13 @@ def cmd_explore(args) -> int:
     from . import homotopy
     graphs = None
     if args.exhaustive:
-        graphs = [(f"g{i}", G) for i, G in
-                  enumerate(homotopy.enumerate_small_graphs(args.nodes, args.arcs))]
+        # one step per graph on a fresh budget, as a row spends its length
+        corpus = Budget(args.budget)
+        corpus.search = "the exhaustive corpus"
+        graphs = []
+        for G in homotopy.enumerate_small_graphs(args.nodes, args.arcs):
+            corpus.spend(1)
+            graphs.append((f"g{len(graphs)}", G))
     buckets = homotopy.explore(args.nodes, args.arcs, graphs,
                                Budget(args.budget))
     lines = []

@@ -2,17 +2,15 @@
 small-corpus exploration for almost-isospectral pairs.
 
 Two finite graphs are homotopy equivalent exactly when they share the
-reversed characteristic polynomial det(I - uA).  The decision is double
-checked against closed-walk counts up to the larger node count (power sums
-up to the degree pin down the polynomial), and the two routes must agree.
+reversed characteristic polynomial det(I - uA), which also gives their
+closed-walk counts: the decision compares the two polynomials.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import spectral
-from .errors import InternalInconsistency, InvalidInput
+from .errors import InvalidInput
 from .graphs import (Arc, Budget, Graph, _isomorphism, _Value, _set,
                      cross_graph, cycle_graph, figure_eight, path_graph,
                      undirected_cycle)
@@ -33,18 +31,9 @@ def signature(X: Graph) -> HomotopySignature:
 
 
 def homotopy_equivalent(X: Graph, Y: Graph) -> bool:
-    """Same reversed characteristic polynomial, cross-checked on walk counts,
-    which are computed on every call; the polynomials are kept on the graphs.
-    Both read the graphs' one component pass, which only the tests check."""
-    by_poly = signature(X) == signature(Y)
-    bound = max(len(X.nodes), len(Y.nodes), 1)
-    # looked up on the module, so a test can perturb this route alone
-    by_counts = (spectral.closed_walk_counts(X, bound)
-                 == spectral.closed_walk_counts(Y, bound))
-    if by_poly != by_counts:
-        raise InternalInconsistency(
-            "polynomial and walk-count comparisons disagree")
-    return by_poly
+    """Same reversed characteristic polynomial; the polynomials are kept on
+    the graphs, so a second call computes nothing."""
+    return signature(X) == signature(Y)
 
 
 def hom_count_bounded(X: Graph, Y: Graph, N: int) -> int:
@@ -74,14 +63,15 @@ def derived_components(X: Graph, N: int) -> int:
 # Exploration
 
 def builtin_family(node_budget: int, arc_budget: int) -> list[tuple[str, Graph]]:
-    """Named small graphs within the budgets."""
+    """Named small graphs within the budgets.  cycle:n and path:n have n
+    arcs, so no larger ones are built."""
     family: list[tuple[str, Graph]] = []
-    for n in range(1, node_budget + 1):
+    for n in range(1, min(node_budget, arc_budget) + 1):
         family.append((f"cycle:{n}", cycle_graph(n)))
         if 2 * n <= arc_budget:
             name = "uc4" if n == 4 else f"ucycle:{n}"
             family.append((name, undirected_cycle(n)))
-    for n in range(0, node_budget):
+    for n in range(0, min(node_budget, arc_budget + 1)):
         family.append((f"path:{n}", path_graph(n)))
     if node_budget >= 1 and arc_budget >= 2:
         family.append(("figure-eight", figure_eight()))

@@ -86,8 +86,11 @@ def is_acyclic_bounded(f: GraphMorphism, N: int,
         raise InvalidInput("acyclicity bound must be >= 1")
     budget = budget or Budget()
     budget.search = "the acyclicity pullback"
-    budget.spend(sum(k * k for k in Counter(f.node_map.values()).values())
-                 + sum(k * k for k in Counter(f.arc_map.values()).values()))
+    pairs = sum(k * k for k in Counter(f.node_map.values()).values())
+    budget.spend(pairs + sum(k * k for k in Counter(f.arc_map.values()).values()))
+    # the pullback has `pairs` nodes, at least X's; a census past a graph's
+    # node count follows from the census up to it by Newton's identities
+    N = min(N, max(pairs, len(f.target.nodes)))
     cx = closed_walk_counts(f.source, N)
     if cx != closed_walk_counts(f.target, N):
         return False

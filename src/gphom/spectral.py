@@ -1,32 +1,32 @@
 """Exact integer linear algebra over the adjacency operator.
 
-Three routes carry every invariant, and all read `Graph.cyclic_blocks`,
-the strongly connected components holding a cycle, found once per graph.
-`graph_reversed_char_poly` gives det(I - uA), once per graph, as the
-product of det(I - uA_C) over them: a block whose nodes all have one arc
-in but for at most two, the rome, contracts to a closed form in the rome's
-paths (`_contract`); any other block of two or more nodes runs the
-division-free Berkowitz algorithm (`_berkowitz`).  The zeta series and the
-ghost components derive from the polynomial.  `closed_walk_counts` gives
-tr(A^n) by pushing walk counts along the components' arcs.  The census
-checks the polynomial but for the shared component pass, which the tests
-check against dense oracles.  `char_poly(A)` builds the components from A.
+One polynomial carries every invariant: det(I - uA), read off
+`Graph.cyclic_blocks`, the strongly connected components holding a cycle,
+found once per graph.  `graph_reversed_char_poly` computes it once per
+graph and keeps it, as the product of det(I - uA_C) over the components: a
+block whose nodes all have one arc in but for at most two, the rome,
+contracts to a closed form in the rome's paths (`_contract`); any other
+block of two or more nodes runs the division-free Berkowitz algorithm
+(`_berkowitz`).  The census tr(A^n), the zeta series and the ghost
+components derive from it by recurrences; a census to an order below the
+node count reads the polynomial cut at that order, which Berkowitz computes
+without the terms past it.  The tests check it against dense oracles and
+an independent walk count.  `char_poly(A)` builds the components from A.
 
-The census and Berkowitz advance many small vectors at once: the vectors'
-entries for one node sit in bit fields of one Python int, so a single
-big-int addition does the per-vector arithmetic in C.  The entries are
-nonnegative and bounded, and each field's width follows from its bound, so
-fields never carry into each other.  Berkowitz keeps its polynomial packed
-too, signed coefficients in fields as wide as Hadamard's bound asks, so one
-big-int product per bordering step is its whole Toeplitz update.  The two
-pack independently.  No floating point anywhere: all coefficients are
-Python ints.
+Berkowitz advances many small vectors at once: the vectors' entries for
+one node sit in bit fields of one Python int, so a single big-int addition
+does the per-vector arithmetic in C.  The entries are nonnegative and
+bounded, and each field's width follows from its bound, so fields never
+carry into each other.  The polynomial is packed too, signed coefficients
+in fields as wide as Hadamard's bound asks, so one big-int product per
+bordering step is its whole Toeplitz update.  No floating point anywhere:
+all coefficients are Python ints.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from math import prod
+from math import factorial, prod
 from operator import add, and_, index, itemgetter, lshift, mul, neg, rshift, sub
 
 from .errors import IntegralityViolation, InvalidInput
@@ -88,25 +88,29 @@ def adjacency_matrix(X: Graph) -> list[list[int]]:
     return A
 
 
-def _berkowitz(block: list[list[int]]) -> list[int]:
+def _berkowitz(block: list[list[int]], N: int | None = None) -> list[int]:
     """Coefficients of det(xI - B), highest degree first, by the Berkowitz
     algorithm (division-free, exact) with all bordering steps at once.  B is
     a block of Graph.cyclic_blocks of two or more nodes, read as a matrix:
-    the transpose of the component's, with the same determinant.
+    the transpose of the component's, with the same determinant.  Given an
+    order N, only the first N + 1 coefficients, those of u^0..u^N in
+    det(I - uB); by default all of them.
 
     Step k borders the principal k block M_k with row R_k, column S_k and
     corner b_kk.  Highest degree first, det(xI - M_k) lists the coefficients
     c_j of det(I - uM_k) = sum_j c_j u^j, and step k multiplies that by
     Q = 1 - sum_i t_i(k) u^(i+1), t(k) = (b_kk, R_k S_k, R_k M_k S_k, ...,
-    R_k M_k^(k-1) S_k), dropping the powers past u^(k+1).
+    R_k M_k^(k-1) S_k), dropping the powers past u^(k+1).  The truncation:
+    u^0..u^N of that product read only t_0..t_(N-1), so N sweeps suffice,
+    and every power past u^N is dropped too.
 
     The sweeps.  The int V[i] holds (M_k^j S_k)[i] in a bit field of step
     k, for every open step k > i, so one sweep U = B V, a big-int addition
     per arc, advances every step: t_j(k) is step k's field of U[k].  Step
-    k's field counts weighted walks of length <= k + 1 from one row, so
-    with r the largest row sum it is at most r^(k+1), and its width is that
-    of r^(k+1), wherever it sits; the entries are nonnegative, so fields
-    never borrow or carry into each other.  The fields go in descending
+    k's field counts weighted walks of length <= min(k + 1, N) from one row,
+    so with r the largest row sum it is at most r^min(k+1, N), and its width
+    is that of r^min(k+1, N), wherever it sits; the entries are nonnegative,
+    so fields never borrow or carry into each other.  The fields go in descending
     order, the last step at offset 0.  V[i] is U[i] with the fields of the
     steps <= i cleared, and once sweep k has run, step k has all its t and
     its field is cleared from every row (a batch's first step's, one sweep
@@ -117,30 +121,37 @@ def _berkowitz(block: list[list[int]]) -> list[int]:
     The product (Kronecker substitution).  The polynomial stays packed as
     P = sum_j c_j 2^(jW), and Q, read off the sweeps' fields with C-level
     maps, is packed the same way, so one big-int product is the whole
-    Toeplitz update: P*Q mod 2^((k+2)W), taken balanced (minus 2^((k+2)W)
-    when its top bit is set), is P's next value exactly while every
-    |c_j| < 2^(W-1).  A zero t costs nothing: on a long cycle Q is 1 but at
-    the last step.  W comes from Hadamard's bound: c_j is a sum of j x j
-    principal minors, so |c_j| <= e_j(rho) <= prod (1 + rho_i) <=
+    Toeplitz update: P*Q mod 2^(mW), m = min(k + 2, N + 1), taken balanced
+    (minus 2^(mW) when its top bit is set), is P's next value exactly while
+    every |c_j| < 2^(W-1).  A zero t costs nothing: on a long cycle Q is 1
+    but at the last step.  W comes from Hadamard's bound: c_j is a sum of
+    j x j principal minors, so |c_j| <= e_j(rho) <= prod (1 + rho_i) <=
     sqrt(prod 2(1 + rho_i^2)), with rho_i the 2-norm of row i and rho_i^2
     the sum of its squared arc multiplicities; the product over the first
     h + 1 rows covers the steps up to h.  W covers the first 64 steps, then
     an eighth more steps at a time, each time unpacking P and repacking it
-    wider, so a large block's early products stay short.  P is unpacked
-    for the last time at the end.
+    wider, so a large block's early products stay short.  Cut at u^N, a
+    bound that grows with N only caps W: rho_i is at most row i's arc
+    count, so |c_j| <= e_j(arc counts) <= m^j / j! for the block's m arcs,
+    which grows with j up to N <= n <= m.  P is unpacked for the last time
+    at the end.
     """
     n = len(block)
+    N = n if N is None else min(N, n)
     # ends[k]: the width of the sweep fields of the steps before k, step k's
-    # holding r^(k+1); vals[i]: 1 + rho_i^2
+    # holding r^min(k+1, N); vals[i]: 1 + rho_i^2
     r, p, ends, vals = max(map(len, block)), 1, [0], []
-    for row in block:
-        p *= r
+    for k, row in enumerate(block):
+        if k < N:
+            p *= r
         ends.append(ends[-1] + p.bit_length())
         vals.append(1 + sum(map(row.count, row)))
-    # W covers the steps up to h: sqrt(2^(h+1) bound) < 2^(W-1)
+    # W covers the steps up to h: sqrt(2^(h+1) bound) < 2^(W-1), and the
+    # steps' c_0..c_N: m^N / N! < 2^(cap-1)
     h = min(n, 64) - 1
     bound = prod(vals[:h + 1])
-    W = (bound.bit_length() + h + 2) // 2 + 1
+    cap = (sum(map(len, block)) ** N // factorial(N)).bit_length() + 1
+    W = min((bound.bit_length() + h + 2) // 2 + 1, cap)
     P = 1
     k0 = 0
     while k0 < n:
@@ -158,22 +169,22 @@ def _berkowitz(block: list[list[int]]) -> list[int]:
         # sweeping unit vectors gives t_0(k) = b_kk and V[i] = S_k[i]
         V = [0] * k0 + units
         D = []   # D[j]: t_j(k) in step k's field, for every k
-        for j in range(k1 - 1):
+        for j in range(min(k1 - 1, N)):
             U = list(map(sum, map(map, repeat(V.__getitem__), rows)))
             D.append(sum(map(and_, U, diag)))
             if j > k0:   # the steps <= j are closed: clear their fields from every row
                 keep[:j] = repeat(keep[j], j)
                 diag[j] = 0
             V = list(map(and_, U, keep))
-        # the last sweep is for t_(k1-1)(k1-1) only
-        D.append(sum(map(V.__getitem__, rows[-1])) & diag[-1])
+        if k1 <= N:   # the last sweep is for t_(k1-1)(k1-1) only
+            D.append(sum(map(V.__getitem__, rows[-1])) & diag[-1])
         for k in range(k0, k1):
             if k > h:   # an eighth more steps, and P repacked at the new W
-                coeffs = _unpack(P, W, k + 1)
+                coeffs = _unpack(P, W, min(k + 1, N + 1))
                 bound *= prod(vals[h + 1:h + h // 8 + 1])
                 h = min(n - 1, h + h // 8)
-                W = (bound.bit_length() + h + 2) // 2 + 1
-                P = sum(map(lshift, coeffs, range(0, (k + 1) * W, W)))
+                W = min((bound.bit_length() + h + 2) // 2 + 1, cap)
+                P = sum(map(lshift, coeffs, range(0, len(coeffs) * W, W)))
             # Q = 1 - q, q = sum_i t_i 2^((i+1)W), t_i step k's field of D[i]
             t = list(map(and_, map(rshift, D[:k + 1], repeat(top - ends[k + 1])),
                          repeat((1 << ends[k + 1] - ends[k]) - 1)))
@@ -184,12 +195,12 @@ def _berkowitz(block: list[list[int]]) -> list[int]:
                 step *= 2
             q = sum(map(lshift, t, range(W, W + len(t) * step, step)))
             if q:   # P = P Q, balanced mod 2^end
-                end = (k + 2) * W
+                end = min(k + 2, N + 1) * W
                 P = (P - P * q) & ((1 << end) - 1)
                 if P >> (end - 1):
                     P -= 1 << end
         k0 = k1
-    return _unpack(P, W, n + 1)
+    return _unpack(P, W, N + 1)
 
 
 def _unpack(P: int, W: int, m: int) -> list[int]:
@@ -254,25 +265,26 @@ def _contract(block: list[list[int]]) -> list[int] | None:
     return factor
 
 
-def _det(blocks: list[list[list[int]]]) -> IntPolynomial:
-    """det(I - uA) from Graph.cyclic_blocks: A is block triangular, so it is
-    the product over them of 1 - d*u for a lone node with d loops, else of
-    det(I - uA_C) by the first of two routes that takes the block:
-    _contract's closed form when all its nodes but at most two have one arc
-    in, else _berkowitz's det(xI - A_C), highest degree first.  The third
-    route, closed_walk_counts, reads the same blocks for tr(A^n) without
-    the polynomial and checks it.  Each factor starts with 1 and loses its
-    trailing zeros, so the product has none either; the product skips zero
-    coefficients, so two long cycles cost their nonzeros, not their
-    degrees, squared."""
+def _det(blocks: list[list[list[int]]], N: int | None = None) -> IntPolynomial:
+    """det(I - uA) from Graph.cyclic_blocks, cut at u^N if an order N is
+    given: A is block triangular, so it is the product over them of 1 - d*u
+    for a lone node with d loops, else of det(I - uA_C) by the first of two
+    routes that takes the block: _contract's closed form when all its nodes
+    but at most two have one arc in, else _berkowitz's det(xI - A_C),
+    highest degree first, which computes only the terms it keeps.  Each
+    factor starts with 1, is cut at u^N and loses its trailing zeros, and
+    so does each partial product; the product skips zero coefficients, so
+    two long cycles cost their nonzeros, not their degrees, squared."""
     det = None
     for block in blocks:
         if len(block) == 1:
             factor = [1, -len(block[0])]
         else:
-            factor = _contract(block) or _berkowitz(block)
-            while not factor[-1]:
-                factor.pop()
+            factor = _contract(block) or _berkowitz(block, N)
+        if N is not None:
+            del factor[N + 1:]
+        while not factor[-1]:
+            factor.pop()
         if det is None:
             det = factor
             continue
@@ -282,6 +294,10 @@ def _det(blocks: list[list[list[int]]]) -> IntPolynomial:
             if a:
                 for j, b in terms:
                     prod[i + j] += a * b
+        if N is not None:
+            del prod[N + 1:]
+            while not prod[-1]:
+                prod.pop()
         det = prod
     return IntPolynomial(tuple(det) if det else (1,))
 
@@ -333,54 +349,20 @@ def char_poly(A: list[list[int]]) -> IntPolynomial:
 
 
 def closed_walk_counts(X: Graph, upto: int) -> list[int]:
-    """[c_1, ..., c_upto] with c_n = tr(A^n), the closed walks of length n.
-
-    A closed walk never leaves the strongly connected component it starts
-    in, so tr(A^n) is the sum of the traces of X.cyclic_blocks.  A lone node
-    with d loops adds d^n.  Within a larger component, walk counts from all
-    start nodes are pushed along its arcs together, once per length: start
-    node s owns bit field s of every node's int, so one step is one big-int
-    addition per arc, and c_n gains field j of node j for every j.  A count
-    of walks of length n is at most d^n for d the largest indegree in the
-    component, so with k nodes, fields of w bits with k * d^upto < 2^w never
-    carry into each other, and the sum of the diagonal fields fits in one
-    field too.  Start nodes go in batches that keep the packed vector within
-    _PACK_BITS bits.  No use of the characteristic polynomial; empty when
-    upto < 1.
+    """[c_1, ..., c_upto] with c_n = tr(A^n), the closed walks of length n:
+    the power sums of det(I - uA), by Newton's identities, which read only
+    its terms up to u^upto.  The polynomial is the one kept on X if there is
+    one; else, if upto reaches the node count, past which nothing is cut,
+    graph_reversed_char_poly's, which keeps it; else _det's cut at u^upto,
+    which is not kept.  Empty when upto < 1.
     """
     if upto < 1:
         return []
-    counts = [0] * upto
-    for block in X.cyclic_blocks:
-        k = len(block)
-        if k == 1:   # a lone node with d loops adds d^n
-            d, p = len(block[0]), 1
-            for n in range(upto):
-                p *= d
-                counts[n] += p
-            continue
-        w = (k * max(map(len, block)) ** upto).bit_length()
-        size = max(1, _PACK_BITS // (k * w))
-        for s0 in range(0, k, size):
-            # start node s owns field s - s0 of every node's int
-            fields = range(0, min(size, k - s0) * w, w)
-            vec = [0] * k
-            vec[s0:s0 + len(fields)] = [1 << f for f in fields]
-            diag = [0] * s0 + [((1 << w) - 1) << f for f in fields]
-            # the diagonal fields, gathered in one int, are summed by
-            # adding its upper half to its lower half until one is left
-            folds = []
-            m = len(fields)
-            while m > 1:
-                m -= m // 2
-                folds.append((m * w, (1 << m * w) - 1))
-            for n in range(upto):
-                vec = list(map(sum, map(map, repeat(vec.__getitem__), block)))
-                d = sum(map(and_, vec, diag))
-                for h, low in folds:
-                    d = (d >> h) + (d & low)
-                counts[n] += d
-    return counts
+    poly = getattr(X, "_reversed_char_poly", None)
+    if poly is None:
+        poly = (graph_reversed_char_poly(X) if upto >= len(X.nodes)
+                else _det(X.cyclic_blocks, upto))
+    return newton_power_sums(poly, upto)
 
 
 def cycle_count(X: Graph, n: int) -> int:
@@ -406,35 +388,30 @@ class ZetaSeries(_Value):
 
 
 def zeta_series(X: Graph, N: int) -> ZetaSeries:
-    """Zeta series of X to order N: the inverse Z of D = det(I - uA), checked
-    against the closed-walk counts c_n, the coefficients of u Z'/Z = -u D' Z."""
+    """Zeta series of X to order N: the inverse Z of D = det(I - uA), by
+    the recurrence z_n = -sum_{i>=1} d_i z_(n-i), since d_0 = det(I) = 1."""
     if N < 0:
         raise InvalidInput("truncation order must be >= 0")
     denom = graph_reversed_char_poly(X)
-    tail = denom.coefficients[1:]
-    steps, ds, back, pad = _lookback(tail)
-    slopes = list(map(mul, steps, ds))   # i * d_i
+    ds, back, pad = _lookback(denom.coefficients[1:])
     z = [0] * pad + [1]
-    for n, c in enumerate(closed_walk_counts(X, N), start=1):
-        if c != -sum(map(mul, slopes, back(z))):   # -u D' Z at u^n
-            raise IntegralityViolation(f"walk count c_{n} disagrees with det(I - uA)")
-        # z_n = -sum_{i>=1} d_i z_{n-i}, since d_0 = det(I) = 1
+    for _ in range(N):
         z.append(-sum(map(mul, ds, back(z))))
     return ZetaSeries(denom, N, tuple(z[pad:]))
 
 
 def _lookback(tail: tuple[int, ...]):
     """How a recurrence reads sum_i d_i a_(n-i), tail = (d_1, d_2, ...):
-    the i, the d_i, a function that gives the a_(n-i) in the same order
-    from a list of `pad` zeros and then a_0..a_(n-1), and pad.  A tail is
-    read whole unless at most a quarter of it, less 4, is nonzero; then only
-    at its nonzero d_i, so 1 - u^m costs one product per term, not m.  The
+    the d_i, a function that gives the a_(n-i) in the same order from a
+    list of `pad` zeros and then a_0..a_(n-1), and pad.  A tail is read
+    whole unless at most a quarter of it, less 4, is nonzero; then only at
+    its nonzero d_i, so 1 - u^m costs one product per term, not m.  The
     set-up that takes does not pay on a shorter or denser tail."""
     if len(tail) < 4 * (len(tail) - tail.count(0)) + 16:
-        return range(1, len(tail) + 1), tail, reversed, 0
+        return tail, reversed, 0
     # two zero terms, read at index 0, keep itemgetter's result a tuple
     steps = [0, 0] + [i for i, d in enumerate(tail, start=1) if d]
-    return steps, [0, 0, *filter(None, tail)], itemgetter(*map(neg, steps)), len(tail) + 1
+    return [0, 0, *filter(None, tail)], itemgetter(*map(neg, steps)), len(tail) + 1
 
 
 def newton_power_sums(d: IntPolynomial, upto: int,
@@ -451,7 +428,7 @@ def newton_power_sums(d: IntPolynomial, upto: int,
         raise InvalidInput("expected constant term 1")
     p = [] if p is None else p
     tail = d.coefficients[1:]   # d_1, d_2, ..., d_deg
-    _, ds, back, pad = _lookback(tail)
+    ds, back, pad = _lookback(tail)
     q = [0] * pad + p if pad else p
     for k in range(len(p) + 1, upto + 1):
         acc = -sum(map(mul, ds, back(q)))

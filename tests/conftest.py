@@ -1,7 +1,8 @@
 import functools
 import itertools
 import random
-from operator import mul
+from itertools import repeat
+from operator import and_, mul
 
 import pytest
 
@@ -245,6 +246,57 @@ def dense_cycle_count(X: Graph, n: int) -> int:
             vec = [sum(vec[k] * A[k][j] for k in range(size)) for j in range(size)]
         total += vec[i]
     return total
+
+
+def walk_census(X: Graph, upto: int, bits: int = 1 << 24) -> list[int]:
+    """Packed-walk oracle: [c_1, ..., c_upto], c_n = tr(A^n), without the
+    characteristic polynomial.
+
+    A closed walk never leaves the strongly connected component it starts
+    in, so tr(A^n) is the sum of the traces of X.cyclic_blocks.  A lone node
+    with d loops adds d^n.  Within a larger component, walk counts from all
+    start nodes are pushed along its arcs together, once per length: start
+    node s owns bit field s of every node's int, so one step is one big-int
+    addition per arc, and c_n gains field j of node j for every j.  A count
+    of walks of length n is at most d^n for d the largest indegree in the
+    component, so with k nodes, fields of w bits with k * d^upto < 2^w never
+    carry into each other, and the sum of the diagonal fields fits in one
+    field too.  Start nodes go in batches that keep the packed vector within
+    `bits` bits.  Empty when upto < 1.
+    """
+    if upto < 1:
+        return []
+    counts = [0] * upto
+    for block in X.cyclic_blocks:
+        k = len(block)
+        if k == 1:   # a lone node with d loops adds d^n
+            d, p = len(block[0]), 1
+            for n in range(upto):
+                p *= d
+                counts[n] += p
+            continue
+        w = (k * max(map(len, block)) ** upto).bit_length()
+        size = max(1, bits // (k * w))
+        for s0 in range(0, k, size):
+            # start node s owns field s - s0 of every node's int
+            fields = range(0, min(size, k - s0) * w, w)
+            vec = [0] * k
+            vec[s0:s0 + len(fields)] = [1 << f for f in fields]
+            diag = [0] * s0 + [((1 << w) - 1) << f for f in fields]
+            # the diagonal fields, gathered in one int, are summed by
+            # adding its upper half to its lower half until one is left
+            folds = []
+            m = len(fields)
+            while m > 1:
+                m -= m // 2
+                folds.append((m * w, (1 << m * w) - 1))
+            for n in range(upto):
+                vec = list(map(sum, map(map, repeat(vec.__getitem__), block)))
+                d = sum(map(and_, vec, diag))
+                for h, low in folds:
+                    d = (d >> h) + (d & low)
+                counts[n] += d
+    return counts
 
 
 def dense_char_poly(A: list[list[int]]) -> IntPolynomial:

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -79,8 +81,27 @@ def test_polynomials_computed_once_per_graph(capsys, monkeypatch):
     assert len(dets) == 2
     # uc4 has no node with one arc in: its one block goes to Berkowitz
     assert list(map(len, berkowitz)) == [4]
-    # the walk-count cross-check still runs, once per graph
-    assert [len(X.nodes) for X in walks] == [5, 4]
+    # the decision compares the two polynomials and counts no walks
+    assert walks == []
+
+
+def test_long_cycle_census_zeta_and_homotopy_eq(capsys):
+    """cycle:10000 at the default order 20000, against the closed forms of
+    det(I - uA) = 1 - u^k: c_n = k [k | n] and Z = 1/(1 - u^k).  Read off
+    the polynomial, each takes a fraction of a second; the time bound
+    catches a census quadratic in the cycle's length."""
+    k = 10000
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "census", f"cycle:{k}")
+    assert (code, out) == (0, "".join(f"{n}\t{k if n % k == 0 else 0}\n"
+                                      for n in range(1, 2 * k + 1)))
+    code, out, _ = invoke(capsys, "zeta", f"cycle:{k}")
+    assert (code, out) == (0, f"denominator: 1 - u^{k}\ncoefficients: " +
+                           ", ".join(str(int(n % k == 0)) for n in range(2 * k + 1)) +
+                           "\n")
+    code, out, _ = invoke(capsys, "homotopy-eq", f"cycle:{k}", f"path:{k - 1}")
+    assert code == 1 and out.startswith("NOT-HOMOTOPY-EQUIVALENT\n")
+    assert time.perf_counter() - start < 10.0
 
 
 def test_graph_commands_build_no_dense_matrix(capsys, monkeypatch):
@@ -430,6 +451,123 @@ def test_error_contract(capsys, monkeypatch, tmp_path, argv, code):
     got, out, err = invoke(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract under fuzzing: seeded mutations of argument lists
+# and input files, run in-process
+
+_HUGE = {"@huge@": "9" * 5000, "@neghuge@": "-" + "9" * 5000, "@inf@": "1e999"}
+_WRONG = [None, True, -1, 0, 1.5, "", "x", [], {}, [[]], {"": None}, *_HUGE]
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, as a path of keys and indices."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated_json(rnd: random.Random, doc) -> bytes:
+    """doc as JSON text with one fault: a value of a wrong type, a dropped
+    entry, the text cut short, buried in nesting, or bytes not UTF-8."""
+    text = json.dumps(doc)
+    kind = rnd.choice(("value", "value", "drop", "truncate", "nest", "bytes"))
+    if kind == "truncate":
+        return text[:rnd.randrange(len(text))].encode()
+    if kind == "nest":
+        depth = rnd.choice((50, 5000, 200_000))
+        return ("[" * depth + text + "]" * depth * rnd.randrange(2)).encode()
+    if kind == "bytes":
+        cut = rnd.randrange(len(text) + 1)
+        return text[:cut].encode() + rnd.choice((b"\xff", b"\xc3", b"\xed\xa0\x80")) + \
+            text[cut:].encode()
+    doc = json.loads(text)
+    path = rnd.choice(list(_paths(doc))[1:])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = rnd.choice(_WRONG)
+    text = json.dumps(doc)
+    for token, raw in _HUGE.items():
+        text = text.replace(json.dumps(token), raw)
+    return text.encode()
+
+
+_FUZZ_COMMANDS = {   # the arguments of each command, by kind
+    "charpoly": ("graph",), "zeta": ("graph",), "census": ("graph",),
+    "witt": ("graph",), "cofibrant-replace": ("graph",),
+    "classify": ("morphism",), "lift": ("left", "right", "top", "bottom"),
+    "homotopy-eq": ("graph", "graph"), "explore": (),
+    "nset": ("nset",), "zset": ("zset",),
+}
+_ROWS = ("zeta", "census", "witt", "cofibrant-replace", "classify")
+
+
+def test_exit_codes_under_fuzzing(capsys, tmp_path):
+    """200 seeded cases, each one fault in a valid command: a --upto,
+    --budget or --nodes value missing, huge, negative or not a number, or
+    an input file mutated.  The budget is small, so a huge row exits 3 at
+    once.  Every case must end within a bound with exit code 0, 1, 2 or 3
+    and no traceback; argparse's SystemExit code counts as the exit code."""
+    docs = {"graph": graph_to_json(cross_graph()),
+            "morphism": morphism_to_json(cycle_projection(2, 1)),
+            "left": morphism_to_json(initial_to_cycle(1)),
+            "right": morphism_to_json(cycle_projection(1, 2)),
+            "top": morphism_to_json(GraphMorphism(EMPTY, cycle_graph(2), {}, {})),
+            "bottom": morphism_to_json(identity(cycle_graph(1))),
+            "nset": {"elements": ["a", "b", "c"], "sigma": {"a": "b", "b": "a", "c": "a"}},
+            "zset": {"elements": ["a", "b"], "sigma": {"a": "b", "b": "a"}}}
+    for kind, doc in docs.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(doc))
+    rnd = random.Random(29)
+    codes = set()
+    for case in range(200):
+        command = list(_FUZZ_COMMANDS)[case % len(_FUZZ_COMMANDS)]
+        kinds = _FUZZ_COMMANDS[command]
+        argv = [command] + [str(tmp_path / f"{kind}.json") if kind != "graph" else
+                            rnd.choice(("figure-eight", "uc4", "cycle:3", "path:2",
+                                        "empty", str(tmp_path / "graph.json")))
+                            for kind in kinds]
+        flags = {"--budget": str(rnd.choice((0, 10, 1000, 20000)))}
+        if command in _ROWS:
+            flags["--upto"] = str(rnd.randint(0, 8))
+        if command == "explore":
+            flags.update({"--nodes": "2", "--arcs": "2"})
+            argv += ["--exhaustive"] * rnd.randrange(2)
+        argv += ["--json"] * rnd.randrange(2)
+        fault = rnd.choice(("none", "flag", "flag") + ("file", "file") * bool(kinds))
+        if fault == "file":
+            i = rnd.randrange(len(kinds))
+            path = tmp_path / f"case{case}.json"
+            path.write_bytes(_mutated_json(rnd, docs[kinds[i]]))
+            argv[1 + i] = str(path)
+        elif fault == "flag":   # one of the command's flags, or one it lacks
+            flag = rnd.choice([*flags, "--upto", "--nodes"])
+            value = rnd.choice((None, "9" * 30, "1" + "0" * 5000, "-7", "-1",
+                                "x", "1.5", "", "0x10", "1e3"))
+            flags.pop(flag, None)
+        for other, v in flags.items():
+            argv += [other, v]
+        if fault == "flag":
+            argv += [flag] if value is None else [flag, value]
+        start = time.perf_counter()
+        try:
+            code = run(argv)
+        except SystemExit as e:
+            code = e.code
+        elapsed = time.perf_counter() - start
+        _, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        assert elapsed < 5.0, argv
+        codes.add(code)
+    assert codes == {0, 1, 2, 3}
 
 
 def test_census_prints_counts_past_the_int_digit_limit(capsys, tmp_path):

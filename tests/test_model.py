@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ from gphom.errors import (BudgetExceeded, InternalInconsistency, InvalidGraph,
                           InvalidInput)
 from gphom.graphs import (Arc, Budget, EMPTY, Graph, GraphMorphism,
                           arrow_graph, connected_components, coproduct,
+                          coproduct_with_injections,
                           cross_graph, cycle_graph, dot_graph,
                           enumerate_morphisms, figure_eight, identity,
                           is_isomorphic, path_graph, product, pullback,
@@ -137,6 +139,18 @@ def test_acyclic_matches_search_on_structured_maps():
     for f in maps:
         for N in (1, 2, 4, 6):
             assert is_acyclic_bounded(f, N) == brute_force_acyclic_bounded(f, N)
+
+
+def test_acyclic_bounded_beside_a_long_cycle():
+    """A loop into itself beside C_8000, at classify's default bound 2 * 8001:
+    the target's census gains 8000 at n = 8000, read off det(I - uA) =
+    (1 - u)(1 - u^8000), cut at u^7999 below the node count.  The time
+    bound catches a census quadratic in the cycle's length."""
+    _, f, _ = coproduct_with_injections(cycle_graph(1), cycle_graph(8000))
+    start = time.perf_counter()
+    assert is_acyclic_bounded(f, 7999)
+    assert not is_acyclic_bounded(f, 16002)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_acyclic_spends_the_pullback_size():

@@ -5,11 +5,11 @@ from math import comb
 import pytest
 
 from gphom import spectral
-from gphom.errors import IntegralityViolation, InternalInconsistency, InvalidInput
+from gphom.errors import IntegralityViolation, InvalidInput
 from gphom.graphs import Arc, EMPTY, Graph, coproduct, cycle_graph, \
     cross_graph, dot_graph, figure_eight, path_graph, product, \
     undirected_cycle, enumerate_morphisms
-from gphom.homotopy import homotopy_equivalent, signature
+from gphom.homotopy import signature
 from gphom.spectral import (IntPolynomial, adjacency_matrix, char_poly,
                             closed_walk_counts, cycle_count, graph_char_poly,
                             graph_reversed_char_poly, newton_power_sums,
@@ -17,7 +17,8 @@ from gphom.spectral import (IntPolynomial, adjacency_matrix, char_poly,
 from gphom.witt import from_graph
 
 from conftest import (brute_force_closed_walks, count_calls, dense_char_poly,
-                      dense_cycle_count, expand_log_exp, random_graph)
+                      dense_cycle_count, expand_log_exp, random_graph,
+                      walk_census)
 
 
 def multigraph(rnd: random.Random, k: int) -> Graph:
@@ -221,9 +222,7 @@ def test_newton_consistency():
     for _ in range(30):
         X = random_graph(rnd, 6, 9)
         a = reversed_char_poly(adjacency_matrix(X))
-        sums = newton_power_sums(a, len(X.nodes))
-        for n in range(1, len(X.nodes) + 1):
-            assert sums[n - 1] == cycle_count(X, n)
+        assert newton_power_sums(a, len(X.nodes)) == walk_census(X, len(X.nodes))
 
 
 def test_zeta_series_examples():
@@ -279,52 +278,6 @@ def test_ghost_multiplicative_over_product():
 def test_expand_log_exp_rejects_nonintegral():
     with pytest.raises(IntegralityViolation):
         expand_log_exp(lambda n: 1 if n == 2 else 0, 3)
-
-
-def perturb_walk_counts(monkeypatch, victim: Graph, delta):
-    """Make spectral.closed_walk_counts add delta(upto) to the last count of
-    `victim` only; the polynomial route stays intact."""
-    real = spectral.closed_walk_counts
-
-    def fake(X, upto):
-        counts = real(X, upto)
-        if X is victim and counts:
-            counts[-1] += delta(upto)
-        return counts
-
-    monkeypatch.setattr(spectral, "closed_walk_counts", fake)
-
-
-@pytest.mark.parametrize("delta", [lambda n: 1, lambda n: n],
-                         ids=["non-integral", "integral"])
-def test_zeta_cross_check_fires(monkeypatch, delta):
-    X = cross_graph()
-    perturb_walk_counts(monkeypatch, X, delta)
-    with pytest.raises(IntegralityViolation):
-        zeta_series(X, 8)
-
-
-def test_zeta_check_fires_on_the_polynomial_route(monkeypatch):
-    # the walk counts stay intact; det(I - uA) gains u^k at k <= N
-    X = cross_graph()
-    real = spectral.graph_reversed_char_poly
-    for k in (1, 2, 5):
-        def fake(G, k=k):
-            d = list(real(G).coefficients) + [0] * k
-            d[k] += 1
-            return IntPolynomial.from_list(d)
-
-        monkeypatch.setattr(spectral, "graph_reversed_char_poly", fake)
-        with pytest.raises(IntegralityViolation):
-            zeta_series(X, 8)
-
-
-def test_homotopy_cross_check_fires(monkeypatch):
-    X, Y = cross_graph(), undirected_cycle(4)
-    assert homotopy_equivalent(X, Y)
-    perturb_walk_counts(monkeypatch, X, lambda n: 1)
-    with pytest.raises(InternalInconsistency):
-        homotopy_equivalent(X, Y)
 
 
 def test_cycle_count_rejects_bad_n():
@@ -423,23 +376,29 @@ def test_loop_cycle_closed_form(monkeypatch):
             assert graph_reversed_char_poly(loop_cycle(k, r)) == loop_cycle_det(k, r)
 
 
-def test_large_blocks_match_walk_counts(monkeypatch):
-    """Random components of 65 to 100 nodes, past the first width of the
-    packed polynomial: by Newton's identities its power sums are the walk
-    counts tr(A^n), which the census finds without it."""
+def large_blocks() -> list[Graph]:
+    """ucycle:70 and random components of 65, 80 and 100 nodes, past the
+    first width of the packed polynomial."""
     rnd = random.Random(36)
     graphs = [undirected_cycle(70)]
     for k in (65, 80, 100):
         pairs = [(i, (i + 1) % k) for i in range(k)]
         pairs += [(rnd.randrange(k), rnd.randrange(k)) for _ in range(2 * k)]
         graphs.append(graph_of(k, pairs))
+    return graphs
+
+
+def test_large_blocks_match_walk_counts(monkeypatch):
+    """By Newton's identities the power sums of the packed polynomial are
+    the walk counts tr(A^n), which the walk oracle finds without it."""
+    graphs = large_blocks()
     for bits in (spectral._PACK_BITS, 1 << 16):
         monkeypatch.setattr(spectral, "_PACK_BITS", bits)
         for X in graphs:
             n = len(X.nodes)
             d = reversed_char_poly(adjacency_matrix(X))
             assert d.degree <= n
-            assert newton_power_sums(d, n) == closed_walk_counts(X, n)
+            assert newton_power_sums(d, n) == walk_census(X, n, bits)
 
 
 def test_packed_char_poly_matches_sympy_at_edges():
@@ -453,18 +412,20 @@ def test_packed_char_poly_matches_sympy_at_edges():
 
 
 def test_packed_census_at_field_width_edges():
-    for X in edge_graphs():
-        N = 10
-        assert closed_walk_counts(X, N) == \
-            [dense_cycle_count(X, n) for n in range(1, N + 1)]
-    # one node with d loops: c_n = d^n, the full width of a field
-    for d in (1, 2 ** 5 - 1, 2 ** 5, 2 ** 12 - 1, 2 ** 12):
-        assert closed_walk_counts(graph_of(1, [(0, 0)] * d), 9) == \
-            [d ** n for n in range(1, 10)]
-    # a complete multigraph of k nodes and m-fold arcs: c_n = (k*m)^n
-    for k, m in ((2, 1), (3, 2), (5, 1)):
-        assert closed_walk_counts(complete_multigraph(k, m), 12) == \
-            [(k * m) ** n for n in range(1, 13)]
+    # the walk oracle's fields and the library's census, at their widths
+    for census in (walk_census, closed_walk_counts):
+        for X in edge_graphs():
+            N = 10
+            assert census(X, N) == \
+                [dense_cycle_count(X, n) for n in range(1, N + 1)]
+        # one node with d loops: c_n = d^n, the full width of a field
+        for d in (1, 2 ** 5 - 1, 2 ** 5, 2 ** 12 - 1, 2 ** 12):
+            assert census(graph_of(1, [(0, 0)] * d), 9) == \
+                [d ** n for n in range(1, 10)]
+        # a complete multigraph of k nodes and m-fold arcs: c_n = (k*m)^n
+        for k, m in ((2, 1), (3, 2), (5, 1)):
+            assert census(complete_multigraph(k, m), 12) == \
+                [(k * m) ** n for n in range(1, 13)]
 
 
 @pytest.mark.parametrize("bits", [1, 40, 300, 3000])
@@ -476,18 +437,24 @@ def test_packed_kernels_at_every_batch_boundary(monkeypatch, bits):
     rnd = random.Random(bits)
     graphs = edge_graphs() + [multigraph(rnd, k) for k in (5, 9, 14)] + \
         [layered_multigraph(rnd, 11), undirected_cycle(16), theta_graph(6, 7, 5)]
-    expected = [(char_poly(adjacency_matrix(X)), closed_walk_counts(X, 9))
+    expected = [(char_poly(adjacency_matrix(X)), walk_census(X, 9))
                 for X in graphs]
     monkeypatch.setattr(spectral, "_PACK_BITS", bits)
     for X, (poly, counts) in zip(graphs, expected):
         A = adjacency_matrix(X)
         assert char_poly(A) == poly == dense_char_poly(A)
+        assert walk_census(X, 9, bits) == counts
+        # Berkowitz cut at orders below and above the blocks' sizes
+        for N in (1, 4, 9):
+            assert newton_power_sums(spectral._det(X.cyclic_blocks, N), N) == counts[:N]
         assert closed_walk_counts(X, 9) == counts
 
 
 def test_census_memory_stays_within_bit_budget(monkeypatch):
-    # unbatched, the packed state of ucycle:100 at upto 60 is 100 * 100
-    # fields of 67 bits (84 kB); an 8 kB budget cuts it into batches
+    # below its node count, the census of ucycle:100 runs Berkowitz cut at
+    # u^60: unbatched, each of the 100 rows packs a sweep field for each of
+    # the 100 steps, as wide as r^min(k+1, 60), 4,330 bits in all (54 kB over
+    # the rows); an 8 kB budget cuts the steps into batches
     X, N, bits = undirected_cycle(100), 60, 1 << 16
 
     def peak() -> tuple[list[int], int]:
@@ -504,10 +471,59 @@ def test_census_memory_stays_within_bit_budget(monkeypatch):
     # below the length of the cycle, a closed walk steps back and forth
     assert batched_counts == counts == \
         [0 if n % 2 else 100 * comb(n, n // 2) for n in range(1, N + 1)]
-    # the live state: old and new vectors of at most `bits` each, plus
-    # the diagonal masks and the ints' object headers
+    # the live state: the old and new sweep vectors and the t's of at most
+    # `bits` each, plus the masks and the ints' object headers
     assert batched < 4 * bits // 8 + 256 * len(X.nodes)
     assert 4 * batched < unbatched
+
+
+def cut(d: IntPolynomial, N: int) -> IntPolynomial:
+    """d without its terms past u^N."""
+    return IntPolynomial.from_list(d.coefficients[:N + 1])
+
+
+def test_truncated_det_matches_full_polynomial_and_walk_oracle(monkeypatch):
+    """_det at order N, whose Berkowitz computes only u^0..u^N, against the
+    whole polynomial cut at u^N, and its Newton sums against the walk
+    oracle: 600 seeded graphs of at most 14 nodes at 7 orders each, and the
+    large blocks at 8 orders, below and above their sizes, under bit
+    budgets that batch their steps one to a batch and upwards."""
+    rnd = random.Random(29)
+    for _ in range(600):
+        X = random_graph(rnd, 14, 30)
+        full, walks = graph_reversed_char_poly(X), walk_census(X, 25)
+        for N in (1, 2, 3, 5, 8, 13, 25):
+            d = spectral._det(X.cyclic_blocks, N)
+            assert d == cut(full, N)
+            assert newton_power_sums(d, N) == walks[:N]
+    graphs = large_blocks()
+    expected = [(graph_reversed_char_poly(X), walk_census(X, 2 * len(X.nodes)))
+                for X in graphs]
+    for bits in (1, 40, 3000, 1 << 24):
+        monkeypatch.setattr(spectral, "_PACK_BITS", bits)
+        for X, (full, walks) in zip(graphs, expected):
+            k = len(X.nodes)
+            for N in (1, 3, 8, 25, 64, 65, k - 1, 2 * k):
+                d = spectral._det(X.cyclic_blocks, N)
+                assert d == cut(full, N)
+                assert newton_power_sums(d, N) == walks[:N]
+
+
+def test_census_and_zeta_match_walk_and_dense_oracles():
+    """The census reads det(I - uA) cut at its order below the node count,
+    and whole at or above it: on fresh graphs at orders below and above
+    their blocks' sizes, against the walk oracle and dense matrix powers,
+    and the zeta series against exp of the oracle's census."""
+    graphs = [X for X, _ in structured_graphs()] + edge_graphs() + planted_graphs()
+    for X in graphs:
+        k = len(X.nodes)
+        walks = walk_census(X, k + 2)
+        block = max(map(len, X.cyclic_blocks), default=0)
+        for N in sorted({1, 2, max(block - 1, 1), block + 1, k + 2}):
+            assert closed_walk_counts(Graph(X.nodes, X.arcs), N) == walks[:N]
+            assert walks[N - 1] == dense_cycle_count(X, N)
+            assert zeta_series(Graph(X.nodes, X.arcs), N).coefficients == \
+                tuple(expand_log_exp(lambda n: walks[n - 1], N))
 
 
 def test_char_poly_rejects_negative_entries():
@@ -529,8 +545,8 @@ def test_char_poly_rejects_ragged_and_non_int_matrices(A):
 
 # ---------------------------------------------------------------------------
 # det(I - uA) factored over strongly connected components, and the census's
-# lone loop nodes: the two routes share the component pass, so only these
-# oracles can catch a fault in it
+# lone loop nodes: the library and the walk oracle share the component pass,
+# so only these dense oracles can catch a fault in it
 
 def planted_components(rnd: random.Random, parts: int) -> Graph:
     """`parts` strongly connected parts of 1 to 5 nodes on shuffled node
@@ -630,9 +646,9 @@ def test_census_sums_loop_nodes_beside_a_component():
 
 
 # ---------------------------------------------------------------------------
-# One component pass per graph, read by both spectral routes: the runtime
-# cross-checks compare two readings of it, so only the dense oracles below
-# can catch a fault in the pass itself
+# One component pass per graph, read by every spectral invariant and by the
+# walk oracle, so only the dense oracles below can catch a fault in the pass
+# itself
 
 def routes(n: int, legs) -> Graph:
     """Nodes 0..n-1, plus a chain of l arcs from u to v through new nodes
@@ -733,13 +749,6 @@ def test_signature_is_kept_on_the_instance(monkeypatch):
     assert signature(cross_graph()) == signature(X)
     assert len(dets) == 2
     assert berkowitz == []
-
-
-def test_homotopy_equivalent_counts_walks_on_every_call(monkeypatch):
-    X, Y = cross_graph(), undirected_cycle(4)
-    walks = count_calls(monkeypatch, spectral, "closed_walk_counts")
-    assert homotopy_equivalent(X, Y) and homotopy_equivalent(X, Y)
-    assert [G is H for G, H in zip(walks, [X, Y, X, Y])] == [True] * 4
 
 
 # ---------------------------------------------------------------------------
